@@ -31,9 +31,9 @@ from .fitting import (
     fit_model_ii,
     generate_correspondence,
 )
-from .norros import NorrosInput, hurst_from_q, norros_mean, norros_rho, q_from_hurst
+from .norros import hurst_from_q, norros_mean, norros_rho, q_from_hurst
 from .solver import SolverConfig, SolverResult, mean_residual, newton_step, solve_beta
-from .zeta import hurwitz_zeta, hurwitz_zeta_da, log_hurwitz_zeta, scaled_hurwitz_zeta
+from .zeta import hurwitz_zeta, log_hurwitz_zeta, scaled_hurwitz_zeta
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "mean_residual",
     "newton_step",
     "solve_beta",
-    "NorrosInput",
     "norros_mean",
     "norros_rho",
     "q_from_hurst",
@@ -69,7 +68,6 @@ __all__ = [
     "evaluate_fit",
     "hurwitz_zeta",
     "log_hurwitz_zeta",
-    "hurwitz_zeta_da",
     "scaled_hurwitz_zeta",
     "__version__",
 ]

@@ -1,8 +1,8 @@
 """Command-line surface: every library operation plus figure datasets.
 
-Exit codes: 0 success, 2 invalid arguments or domain errors, 3
-solver/fit non-convergence (incl. singular fits), 4 malformed input
-file (messages name the offending line).
+Exit codes: 0 success, 2 invalid arguments (incl. an unwritable --out
+path) or domain errors, 3 solver/fit non-convergence (incl. singular
+fits), 4 malformed input file (messages name the offending line).
 
 Output formats: ``table`` (human readable), ``csv`` and ``json``
 (loss-free round trips, floats printed with 17 significant digits in
@@ -95,7 +95,10 @@ def _json_float(value):
 def _write_output(args, text):
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:  # an unusable --out path is a usage error
+            raise DomainError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

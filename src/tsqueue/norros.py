@@ -13,32 +13,10 @@ self-similarity by q = 1.5 - H.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["NorrosInput", "norros_mean", "norros_rho", "q_from_hurst", "hurst_from_q"]
-
-
-@dataclass(frozen=True)
-class NorrosInput:
-    """Validated (rho, H) pair; H = 0.5 is admitted as the M/M/1 boundary."""
-
-    rho: float
-    hurst: float
-
-    def __post_init__(self):
-        rho = float(self.rho)
-        hurst = float(self.hurst)
-        if not (math.isfinite(rho) and 0.0 < rho < 1.0):
-            raise DomainError(f"traffic intensity must lie in (0, 1), got rho={rho}")
-        _validate_hurst(hurst)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "hurst", hurst)
-
-    @property
-    def rho_star(self) -> float:
-        return 1.0 - self.rho
+__all__ = ["norros_mean", "norros_rho", "q_from_hurst", "hurst_from_q"]
 
 
 def _validate_hurst(hurst):
@@ -48,11 +26,14 @@ def _validate_hurst(hurst):
 
 def norros_mean(rho: float, hurst: float) -> float:
     """Mean buffer occupancy of the storage model; increasing in rho."""
-    inp = NorrosInput(rho, hurst)
-    one_minus_h = 1.0 - inp.hurst
+    rho, hurst = float(rho), float(hurst)
+    if not (math.isfinite(rho) and 0.0 < rho < 1.0):
+        raise DomainError(f"traffic intensity must lie in (0, 1), got rho={rho}")
+    _validate_hurst(hurst)
+    one_minus_h = 1.0 - hurst
     log_mean = (
-        math.log(inp.rho) / (2.0 * one_minus_h)
-        - (inp.hurst / one_minus_h) * math.log1p(-inp.rho)
+        math.log(rho) / (2.0 * one_minus_h)
+        - (hurst / one_minus_h) * math.log1p(-rho)
     )
     return math.exp(log_mean)
 

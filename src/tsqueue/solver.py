@@ -2,9 +2,10 @@
 
 The constraint "model mean equals A" is solved by Newton-Raphson with the
 closed-form step assembled from three zeta ratios, safeguarded by step
-halving and, when Newton misbehaves, bisection on a bracket grown
-geometrically from the initial guess.  The mean is strictly decreasing in
-beta, so the bracket always exists and the fallback cannot fail.
+halving.  The mean is strictly decreasing in beta, so every residual the
+solver evaluates also narrows a bracket on the root; when halving cannot
+improve on the current iterate, the next one is a bisection point of that
+bracket.  Newton and bisection share one loop and one iteration budget.
 """
 
 import math
@@ -87,105 +88,78 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
     """Find beta with mean(q, beta) = A to within tol * max(1, A).
 
     Newton iterates from beta0 (default ln((A+1)/A), the exact q -> 1
-    solution); any iterate leaving (0, inf) or increasing the residual is
-    halved, and five consecutive halvings hand over to bisection.
+    solution).  A candidate leaving (0, inf) or increasing the residual
+    is halved, up to five times.  Every residual evaluated narrows a
+    bracket on the root.  When the halvings give out, the solve stops if
+    the residual meets the target and either the Newton step or the
+    bracket is within tol * beta; otherwise the next iterate is the
+    bracket's geometric midpoint, or twice / half its closed end while
+    the other end is open, and fallback_used is set.
     """
     cfg = config if config is not None else SolverConfig()
     _validate_target(q, A)
-    beta0 = cfg.beta0 if cfg.beta0 is not None else math.log1p(1.0 / A)
     target = cfg.tol * max(1.0, A)
+    lo, hi = 0.0, math.inf  # residual > 0 at lo, < 0 at hi
 
-    beta = beta0
-    resid = mean_residual(q, beta, A)
-    iterations = 0
-    for _ in range(cfg.max_iter):
-        iterations += 1
+    def residual(b):
+        # The bracket only narrows.  Near the root, rounding noise in the
+        # mean can flip signs and cross it (lo >= hi): its width then
+        # reads <= 0 and no bisection point lies inside it.
+        nonlocal lo, hi
+        r = mean_residual(q, b, A)
+        if r > 0.0:
+            lo = max(lo, b)
+        elif r < 0.0:
+            hi = min(hi, b)
+        return r
+
+    beta = cfg.beta0 if cfg.beta0 is not None else math.log1p(1.0 / A)
+    resid = residual(beta)
+    bisected = False
+    for iterations in range(1, cfg.max_iter + 1):
         try:
             step = newton_step(q, beta, A)
         except DegenerateStep:
-            return _bisect(q, A, beta0, cfg, iterations)
+            step = math.inf  # no Newton direction: go to the bracket
+        newton = step
         candidate = beta + step
-        halvings = 0
-        while True:
-            if candidate > 0.0 and math.isfinite(candidate):
-                new_resid = mean_residual(q, candidate, A)
-                if abs(new_resid) <= abs(resid):
+        for _ in range(6):  # the full step, then five halvings
+            # A step below beta's resolution leaves nothing to evaluate.
+            if candidate > 0.0 and math.isfinite(candidate) and candidate != beta:
+                inside = lo < candidate < hi
+                new_resid = residual(candidate)
+                # A tie outside the bracket is taken only at the noise
+                # floor: from a far beta0 the residual is a flat -A there.
+                if abs(new_resid) < abs(resid) or (
+                    abs(new_resid) == abs(resid) and (inside or abs(resid) <= target)
+                ):
                     break
-            halvings += 1
-            if halvings > 5:
-                return _bisect(q, A, beta0, cfg, iterations)
             step *= 0.5
             candidate = beta + step
+        else:
+            if abs(resid) <= target and min(abs(newton), hi - lo) <= cfg.tol * beta:
+                return SolverResult(beta, iterations, abs(resid), bisected)
+            if hi == math.inf:
+                midpoint = 2.0 * lo
+            elif lo == 0.0:
+                midpoint = 0.5 * hi
+            else:
+                midpoint = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < midpoint < hi:  # crossed, or exhausted at float resolution
+                raise NoConvergence(
+                    f"bisection stalled at beta={beta} with residual {resid}",
+                    beta=beta, residual=abs(resid), iterations=iterations,
+                )
+            beta = midpoint
+            resid = residual(beta)
+            bisected = True
+            continue
         moved = abs(candidate - beta)
         beta, resid = candidate, new_resid
         if moved <= cfg.tol * beta and abs(resid) <= target:
-            return SolverResult(
-                beta=beta, iterations=iterations, residual=abs(resid),
-                fallback_used=False,
-            )
+            return SolverResult(beta, iterations, abs(resid), bisected)
     raise NoConvergence(
         f"beta solve did not converge in {cfg.max_iter} iterations "
         f"(beta={beta}, residual={resid})",
-        beta=beta, residual=abs(resid), iterations=iterations,
-    )
-
-
-def _bisect(q, A, beta0, cfg, iterations):
-    """Bisection fallback on a bracket expanded geometrically from beta0."""
-    target = cfg.tol * max(1.0, A)
-    lo = hi = beta0
-    r0 = mean_residual(q, beta0, A)
-    iterations += 1
-    if r0 == 0.0:
-        return SolverResult(beta0, iterations, 0.0, True)
-    if r0 > 0.0:  # mean too large: the root lies above beta0
-        for _ in range(1100):
-            hi *= 2.0
-            iterations += 1
-            if not math.isfinite(hi):
-                break
-            if mean_residual(q, hi, A) <= 0.0:
-                break
-        else:
-            hi = math.inf
-    else:
-        for _ in range(1100):
-            lo *= 0.5
-            iterations += 1
-            if lo <= 0.0:
-                break
-            if mean_residual(q, lo, A) >= 0.0:
-                break
-        else:
-            lo = 0.0
-    if not (math.isfinite(hi) and lo > 0.0):
-        raise NoConvergence(
-            f"could not bracket the root from beta0={beta0}",
-            beta=beta0, residual=abs(r0), iterations=iterations,
-        )
-
-    beta = 0.5 * (lo + hi)
-    for _ in range(4096):
-        iterations += 1
-        r = mean_residual(q, beta, A)
-        if r > 0.0:
-            lo = beta
-        elif r < 0.0:
-            hi = beta
-        else:
-            return SolverResult(beta, iterations, 0.0, True)
-        if (hi - lo) <= cfg.tol * beta and abs(r) <= target:
-            return SolverResult(beta, iterations, abs(r), True)
-        new_beta = 0.5 * (lo + hi)
-        if new_beta == beta:  # interval exhausted at float resolution
-            if abs(r) <= target:
-                return SolverResult(beta, iterations, abs(r), True)
-            raise NoConvergence(
-                f"bisection stalled at beta={beta} with residual {r}",
-                beta=beta, residual=abs(r), iterations=iterations,
-            )
-        beta = new_beta
-    raise NoConvergence(
-        f"bisection exceeded its iteration budget (beta={beta})",
-        beta=beta, residual=abs(r), iterations=iterations,
+        beta=beta, residual=abs(resid), iterations=cfg.max_iter,
     )

@@ -26,7 +26,6 @@ from .errors import DomainError
 __all__ = [
     "hurwitz_zeta",
     "log_hurwitz_zeta",
-    "hurwitz_zeta_da",
     "scaled_hurwitz_zeta",
 ]
 
@@ -156,10 +155,3 @@ def log_hurwitz_zeta(s: float, a: float) -> float:
     s, a = float(s), float(a)
     _validate(s, a)
     return math.log(_scaled_sum(s, a)) - s * math.log(a)
-
-
-def hurwitz_zeta_da(s: float, a: float) -> float:
-    """Return d zeta(s, a)/da = -s * zeta(s+1, a)."""
-    s, a = float(s), float(a)
-    _validate(s, a)
-    return -s * hurwitz_zeta(s + 1.0, a)

@@ -161,6 +161,15 @@ class TestGenerateAndFit:
         code, _, _ = run(capsys, "fit", "--model", "I", "--in", str(tmp_path / "nope.csv"))
         assert code == 4
 
+    def test_unwritable_out_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(
+            capsys, "pmf", "--q", "0.75", "--beta", "1", "--i", "0", "--out", str(path),
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert not out
+
     def test_degenerate_fit_exit_three(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"
         rows = "\n".join("1,1.0,0.5,0.6" for _ in range(6))

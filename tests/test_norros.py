@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from tsqueue.errors import DomainError
 from tsqueue.norros import (
-    NorrosInput,
     hurst_from_q,
     norros_mean,
     norros_rho,
@@ -39,7 +38,10 @@ class TestNorrosMean:
         values = [norros_mean(0.8, hurst) for hurst in H_GRID]
         assert all(x < y for x, y in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("rho,hurst", [(0.0, 0.75), (1.0, 0.75), (0.5, 0.4), (0.5, 1.0)])
+    @pytest.mark.parametrize(
+        "rho,hurst",
+        [(0.0, 0.75), (1.0, 0.75), (1.5, 0.75), (0.5, 0.4), (0.5, 1.0), (0.5, math.nan)],
+    )
     def test_domain_errors(self, rho, hurst):
         with pytest.raises(DomainError):
             norros_mean(rho, hurst)
@@ -95,13 +97,3 @@ class TestEntropyHurstBridge:
             hurst_from_q(0.5)
         with pytest.raises(DomainError):
             hurst_from_q(1.5)
-
-
-class TestNorrosInput:
-    def test_validation_and_derived(self):
-        inp = NorrosInput(0.25, 0.75)
-        assert inp.rho_star == 0.75
-        with pytest.raises(DomainError):
-            NorrosInput(1.5, 0.75)
-        with pytest.raises(DomainError):
-            NorrosInput(0.5, math.nan)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsqueue.distribution import QueueModel, mean
 from tsqueue.errors import DomainError, NoConvergence
@@ -93,6 +95,27 @@ class TestSolveBeta:
         first = solve_beta(0.75, target)
         second = solve_beta(0.75, target)
         assert first == second
+
+    def test_newton_answer_kept_when_halving_gives_out(self):
+        # Newton meets the residual target here; halving then cannot improve
+        # on it, which must end the solve rather than restart it.
+        A = 86.85113737513525
+        result = solve_beta(0.9, A)
+        assert not result.fallback_used
+        assert result.iterations <= 12
+        assert result.residual <= 1e-10 * A
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.floats(min_value=math.log(1e-4), max_value=math.log(0.45)),
+        st.floats(min_value=math.log(1e-2), max_value=math.log(1e4)),
+    )
+    def test_newton_alone_off_the_corner(self, log_one_minus_q, log_A):
+        q, A = 1.0 - math.exp(log_one_minus_q), math.exp(log_A)
+        result = solve_beta(q, A)
+        assert result.residual <= 1e-10 * max(1.0, A)
+        assert result.iterations <= 15
+        assert not result.fallback_used
 
     def test_fallback_reaches_same_root(self):
         target = mean(QueueModel(0.75, 1.0))

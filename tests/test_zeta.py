@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tsqueue.errors import DomainError
 from tsqueue.zeta import (
     hurwitz_zeta,
-    hurwitz_zeta_da,
     log_hurwitz_zeta,
     scaled_hurwitz_zeta,
 )
@@ -97,20 +96,6 @@ class TestLogVariant:
         assert math.isfinite(value)
         # leading term is -s ln a; the scaled remainder is order 1/(1-e^-0.5)
         assert value < -1e7
-
-
-class TestDerivative:
-    def test_apery_identity(self):
-        assert rel(hurwitz_zeta_da(2.0, 1.0), -2.0 * oracles.APERY) <= 1e-12
-
-    def test_shifted_identity(self):
-        assert rel(hurwitz_zeta_da(3.0, 4.0), -3.0 * oracles.ZETA_4_4) <= 1e-12
-
-    @pytest.mark.parametrize("s,a", [(2.0, 1.0), (3.0, 4.0), (5.0, 0.5), (10.0, 22.2)])
-    def test_finite_difference(self, s, a):
-        step = 1e-5
-        fd = oracles.central_difference(lambda x: hurwitz_zeta(s, x), a, step)
-        assert rel(hurwitz_zeta_da(s, a), fd) <= 1e-6
 
 
 class TestScaledSum:
