@@ -76,7 +76,9 @@ class FigureSpec:
         for q in self.q_list:
             if not (math.isfinite(q) and 0.5 < q < 1.0):
                 raise DomainError(f"every q must lie strictly in (1/2, 1), got {q}")
-        if not self.thresholds or any(x < 0 for x in self.thresholds):
+        if not self.thresholds:
+            raise DomainError("thresholds must not be empty")
+        if any(x < 0 for x in self.thresholds):
             raise DomainError(f"thresholds must be nonnegative, got {self.thresholds}")
 
 
@@ -399,7 +401,7 @@ def figure_dataset(spec: FigureSpec):
 def _cmd_figure(args):
     q_list = (
         tuple(_parse_float_list(args.q_list))
-        if args.q_list
+        if args.q_list is not None
         else _FIGURE_DEFAULT_Q[args.id]
     )
     spec = FigureSpec(

@@ -63,8 +63,8 @@ class QueueModel:
 
     @property
     def c(self) -> float:
-        """Zeta shift 1/(beta*(1-q)); always > 0."""
-        return 1.0 / (self.beta * (1.0 - self.q))
+        """Zeta shift 1/(beta*(1-q)); always > 0 and finite."""
+        return _zeta_shift(self.q, self.beta)
 
 
 class TailAsymptote(NamedTuple):
@@ -84,6 +84,18 @@ class QosReport:
     tail_exponent: float
     tail_coefficient: float
     tail_samples: tuple
+
+
+def _zeta_shift(q, beta):
+    """c = 1/(beta*(1-q)); DomainError where beta is too small for it to be finite."""
+    scale = beta * (1.0 - q)
+    c = 1.0 / scale if scale != 0.0 else math.inf
+    if not math.isfinite(c):
+        raise DomainError(
+            f"beta={beta} is too small for q={q}: "
+            "the zeta shift 1/(beta*(1-q)) overflows a double"
+        )
+    return c
 
 
 def _index(value, name="i"):
@@ -140,10 +152,13 @@ def tail_asymptote(model: QueueModel, x) -> TailAsymptote:
     return TailAsymptote(coefficient, exponent, value)
 
 
+def _mean_at(s, c):
+    return c * math.expm1(_log_scaled(s - 1.0, c) - _log_scaled(s, c))
+
+
 def mean(model: QueueModel) -> float:
     """Mean number of packets, zeta(s-1, c)/zeta(s, c) - c."""
-    s, c = model.s, model.c
-    return c * math.expm1(_log_scaled(s - 1.0, c) - _log_scaled(s, c))
+    return _mean_at(model.s, model.c)
 
 
 def moment(model: QueueModel, k) -> float:

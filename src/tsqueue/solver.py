@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .distribution import QueueModel, mean
+from .distribution import QueueModel, _mean_at, _zeta_shift, mean
 from .errors import DegenerateStep, DomainError, NoConvergence
 from .zeta import scaled_hurwitz_zeta
 
@@ -53,6 +53,22 @@ def _validate_target(q, A):
         raise DomainError(f"target mean must be positive, got {A}")
 
 
+def _newton_increment(q, beta, A, s, c):
+    """Newton increment at beta from S(s, c), S(s-1, c) and S(s+1, c)."""
+    s0 = scaled_hurwitz_zeta(s, c)
+    s1 = scaled_hurwitz_zeta(s - 1.0, c)
+    s2 = scaled_hurwitz_zeta(s + 1.0, c)
+    r = A / c
+    denominator = s1 - (2.0 + r) * s0 + (1.0 + r) * s2
+    if abs(denominator) < 1e-300:
+        raise DegenerateStep(
+            f"Newton denominator {denominator} is numerically zero "
+            f"at q={q}, beta={beta}, A={A}"
+        )
+    numerator = s1 - (1.0 + r) * s0
+    return beta * (1.0 - q) * numerator / denominator
+
+
 def mean_residual(q: float, beta: float, A: float) -> float:
     """mean(q, beta) - A: strictly decreasing in beta, zero at the root."""
     _validate_target(q, A)
@@ -69,19 +85,7 @@ def newton_step(q: float, beta: float, A: float) -> float:
     """
     _validate_target(q, A)
     model = QueueModel(q, beta)
-    s, c = model.s, model.c
-    s0 = scaled_hurwitz_zeta(s, c)
-    s1 = scaled_hurwitz_zeta(s - 1.0, c)
-    s2 = scaled_hurwitz_zeta(s + 1.0, c)
-    r = A / c
-    denominator = s1 - (2.0 + r) * s0 + (1.0 + r) * s2
-    if abs(denominator) < 1e-300:
-        raise DegenerateStep(
-            f"Newton denominator {denominator} is numerically zero "
-            f"at q={q}, beta={beta}, A={A}"
-        )
-    numerator = s1 - (1.0 + r) * s0
-    return beta * (1.0 - q) * numerator / denominator
+    return _newton_increment(q, beta, A, model.s, model.c)
 
 
 def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> SolverResult:
@@ -98,6 +102,8 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
     """
     cfg = config if config is not None else SolverConfig()
     _validate_target(q, A)
+    q, A = float(q), float(A)
+    s = 1.0 / (1.0 - q)
     target = cfg.tol * max(1.0, A)
     lo, hi = 0.0, math.inf  # residual > 0 at lo, < 0 at hi
 
@@ -106,19 +112,20 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
         # mean can flip signs and cross it (lo >= hi): its width then
         # reads <= 0 and no bisection point lies inside it.
         nonlocal lo, hi
-        r = mean_residual(q, b, A)
+        c = _zeta_shift(q, b)
+        r = _mean_at(s, c) - A
         if r > 0.0:
             lo = max(lo, b)
         elif r < 0.0:
             hi = min(hi, b)
-        return r
+        return r, c
 
     beta = cfg.beta0 if cfg.beta0 is not None else math.log1p(1.0 / A)
-    resid = residual(beta)
+    resid, c = residual(beta)
     bisected = False
     for iterations in range(1, cfg.max_iter + 1):
         try:
-            step = newton_step(q, beta, A)
+            step = _newton_increment(q, beta, A, s, c)
         except DegenerateStep:
             step = math.inf  # no Newton direction: go to the bracket
         newton = step
@@ -127,7 +134,7 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
             # A step below beta's resolution leaves nothing to evaluate.
             if candidate > 0.0 and math.isfinite(candidate) and candidate != beta:
                 inside = lo < candidate < hi
-                new_resid = residual(candidate)
+                new_resid, new_c = residual(candidate)
                 # A tie outside the bracket is taken only at the noise
                 # floor: from a far beta0 the residual is a flat -A there.
                 if abs(new_resid) < abs(resid) or (
@@ -151,11 +158,11 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
                     beta=beta, residual=abs(resid), iterations=iterations,
                 )
             beta = midpoint
-            resid = residual(beta)
+            resid, c = residual(beta)
             bisected = True
             continue
         moved = abs(candidate - beta)
-        beta, resid = candidate, new_resid
+        beta, resid, c = candidate, new_resid, new_c
         if moved <= cfg.tol * beta and abs(resid) <= target:
             return SolverResult(beta, iterations, abs(resid), bisected)
     raise NoConvergence(

@@ -15,6 +15,13 @@ chosen so the first omitted correction (the B14 term, a rigorous
 remainder bound for this completely monotone summand) stays below 1e-15
 of the accumulated sum, which keeps the total relative error near 1e-14
 over the supported range.
+
+Values of S are cached by (s, a).  What an evaluation needs of s alone (the
+13 logarithms of the B14 bound's rising product, s + 14, s - 1 and the
+factors of the Bernoulli terms' rising product) is cached by s in a
+smaller cache, because a solve or a figure evaluates one exponent at many
+shifts a.  Both caches only skip repeated work: every value is computed by
+the same floating-point operations, in the same order, as without them.
 """
 
 import math
@@ -56,48 +63,61 @@ def _validate(s, a):
         raise DomainError(f"zeta requires a > 0, got a={a}")
 
 
-@lru_cache(maxsize=1 << 16)
-def _scaled_sum(s, a):
-    # ln prod_{i=0}^{12} (s + i), for the omitted-correction bound.
+@lru_cache(maxsize=1 << 10)
+def _exponent_terms(s):
+    """What one Euler-Maclaurin evaluation needs of s alone.
+
+    Returns ln(|B14|/14! * prod_{i=0}^{12} (s + i)), the s-part of the
+    omitted-correction bound; s + 14; s - 1; and the six factors
+    (s+2j-1)(s+2j) that carry the Bernoulli corrections' rising product
+    from one j to the next.
+    """
     rising13_log = 0.0
     for i in range(13):
         rising13_log += math.log(s + i)
-    bound_base = _LOG_B14_COEF + rising13_log
-    s14 = s + 14.0
+    rising_factors = tuple((s + 2 * j - 1) * (s + 2 * j) for j in range(1, 7))
+    return _LOG_B14_COEF + rising13_log, s + 14.0, s - 1.0, rising_factors
+
+
+@lru_cache(maxsize=1 << 16)
+def _scaled_sum(s, a):
+    bound_base, s14, s_minus_1, rising_factors = _exponent_terms(s)
+    log, log1p, exp = math.log, math.log1p, math.exp
+    two_pi, log_rel_target = _TWO_PI, _LOG_REL_TARGET
+    neg_s = -s
 
     terms = []
+    append = terms.append
     partial = 0.0
     n = 0
     t = 1.0  # (a / (a + n))**s at n = 0
     log_t = 0.0
-    while True:
-        an = a + n
-        if t == 0.0:
-            break  # boundary term underflowed; tail block is negligible
+    while t != 0.0:  # a boundary term that underflowed leaves a negligible tail
         # Corrections decrease geometrically only once s + 14 <= 2*pi*(a+N);
         # requiring that keeps the included B-terms free of cancellation.
-        if s14 <= _TWO_PI * an:
-            log_err = log_t + bound_base - 13.0 * math.log(an)
-            floor = math.log(partial) if partial > 1.0 else 0.0
-            if log_err <= _LOG_REL_TARGET + floor:
+        an = a + n
+        if s14 <= two_pi * an:
+            log_err = log_t + bound_base - 13.0 * log(an)
+            floor = log(partial) if partial > 1.0 else 0.0
+            if log_err <= log_rel_target + floor:
                 break
-        terms.append(t)
+        append(t)
         partial += t
         n += 1
         if n > 10_000_000:
             raise RuntimeError("Euler-Maclaurin cutoff search did not terminate")
-        log_t = -s * math.log1p(n / a)
-        t = math.exp(log_t)
+        log_t = neg_s * log1p(n / a)
+        t = exp(log_t)
 
     if t > 0.0:
         an = a + n
         inv = 1.0 / an
-        terms.append(t * an / (s - 1.0))  # integral tail
-        terms.append(0.5 * t)             # half-term
-        rising_over = s * inv             # prod (s+i) / an**(2j-1), built up
-        for j, coef in enumerate(_EM_COEFFS, start=1):
-            terms.append(t * coef * rising_over)
-            rising_over *= (s + 2 * j - 1) * (s + 2 * j) * inv * inv
+        append(t * an / s_minus_1)  # integral tail
+        append(0.5 * t)             # half-term
+        rising_over = s * inv       # prod (s+i) / an**(2j-1), built up
+        for coef, factor in zip(_EM_COEFFS, rising_factors):
+            append(t * coef * rising_over)
+            rising_over *= factor * inv * inv
 
     total = math.fsum(terms)
     if not math.isfinite(total):

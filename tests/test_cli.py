@@ -83,6 +83,17 @@ class TestDistributionCommands:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("beta", ["5e-324", "1e-308"])
+    @pytest.mark.parametrize("command", [
+        ["metrics"], ["pmf", "--i", "0"], ["tail", "--x", "3"],
+    ])
+    def test_beta_too_small_for_the_zeta_shift_exits_two(self, capsys, command, beta):
+        code, out, err = run(capsys, *command, "--q", "0.75", "--beta", beta)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "zeta shift" in err
+        assert "Traceback" not in err
+
 
 class TestSolverAndNorrosCommands:
     def test_solve_beta(self, capsys):
@@ -109,6 +120,14 @@ class TestSolverAndNorrosCommands:
         assert first.mean == 2.0
         assert first.beta == pytest.approx(solved["beta"], rel=1e-12)
         assert first.rho == pytest.approx(rho["value"], rel=1e-12)
+
+    def test_solve_beta_rejects_subnormal_beta0(self, capsys):
+        code, out, err = run(
+            capsys, "solve-beta", "--q", "0.75", "--mean", "2", "--beta0", "5e-324"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "zeta shift" in err
 
     def test_solver_non_convergence_exit(self, capsys):
         code, _, err = run(
@@ -250,6 +269,16 @@ class TestFigureCommand:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header == "q,beta,rho,rho_model_i,rho_model_ii"
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--q-list", "q list must not be empty"),
+        ("--thresholds", "thresholds must not be empty"),
+    ])
+    def test_empty_list_flag_exits_two(self, capsys, flag, message):
+        code, out, err = run(capsys, "figure", "--id", "4", flag, "")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_figure_spec_validation(self):
         with pytest.raises(DomainError):

@@ -46,6 +46,15 @@ class TestQueueModel:
         with pytest.raises(DomainError):
             QueueModel(0.75, beta)
 
+    @pytest.mark.parametrize("beta", [5e-324, 1e-308])
+    def test_zeta_shift_overflow_is_a_domain_error(self, beta):
+        # beta*(1-q) underflows to 0 at 5e-324; 1/(beta*(1-q)) overflows at 1e-308.
+        model = QueueModel(0.75, beta)
+        for use in (lambda: model.c, lambda: mean(model), lambda: pmf(model, 0),
+                    lambda: tail(model, 3), lambda: qos_report(model)):
+            with pytest.raises(DomainError, match="zeta shift"):
+                use()
+
     def test_rejects_negative_index(self):
         with pytest.raises(DomainError):
             pmf(MODEL, -1)

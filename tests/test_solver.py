@@ -130,6 +130,14 @@ class TestSolveBeta:
         assert info.value.beta is not None
         assert info.value.iterations == 1
 
+    def test_subnormal_beta_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="zeta shift"):
+            solve_beta(0.75, 2.0, SolverConfig(beta0=5e-324))
+        with pytest.raises(DomainError, match="zeta shift"):
+            mean_residual(0.75, 5e-324, 2.0)
+        with pytest.raises(DomainError, match="zeta shift"):
+            newton_step(0.75, 1e-308, 2.0)
+
     def test_rejects_bad_targets(self):
         with pytest.raises(DomainError):
             solve_beta(0.75, -1.0)
