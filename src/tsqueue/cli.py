@@ -4,10 +4,12 @@ Exit codes: 0 success, 2 invalid arguments (incl. an unwritable --out
 path) or domain errors, 3 solver/fit non-convergence (incl. singular
 fits), 4 malformed input file (messages name the offending line).
 
-Output formats: ``table`` (human readable), ``csv`` and ``json``
-(loss-free round trips, floats printed with 17 significant digits in
-CSV).  ``generate`` and ``figure`` default to csv since their payload is
-a dataset; everything else defaults to table.
+Every command handler returns data: a flat record, or a header and rows
+for a dataset.  One renderer, ``_render``, turns it into ``table`` (human
+readable), ``csv`` or ``json`` (loss-free round trips, floats printed
+with 17 significant digits in CSV; strict JSON, with non-finite floats
+as null).  ``generate`` and ``figure`` default to csv since their
+payload is a dataset; everything else defaults to table.
 """
 
 import argparse
@@ -18,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 from .distribution import QueueModel, pmf, qos_report, tail, utilization, variance
 from .errors import (
@@ -69,8 +72,10 @@ class FigureSpec:
     thresholds: tuple = _DEFAULT_THRESHOLDS
 
     def __post_init__(self):
-        if self.figure_id not in (1, 2, 3, 4, 5):
-            raise DomainError(f"figure id must be 1..5, got {self.figure_id}")
+        if self.figure_id not in _FIGURE_DEFAULT_Q:
+            raise DomainError(
+                f"figure id must be one of {list(_FIGURE_DEFAULT_Q)}, got {self.figure_id}"
+            )
         if not self.q_list:
             raise DomainError("q list must not be empty")
         for q in self.q_list:
@@ -88,81 +93,72 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_float(value):
-    if value is None or isinstance(value, bool) or not isinstance(value, float):
-        return value
-    return value if math.isfinite(value) else None
+def _finite(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
-def _write_output(args, text):
-    out = getattr(args, "out", None)
-    if out:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:  # an unusable --out path is a usage error
-            raise DomainError(f"cannot write {out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+@dataclass(frozen=True)
+class _Record:
+    """One command's flat record.  ``json`` and ``table`` replace the default
+    views of ``fields`` where the command shows more than those fields."""
+
+    fields: dict
+    json: Optional[dict] = None
+    table: Optional[list] = None
 
 
-def _resolved_format(args, default="table"):
-    return getattr(args, "format", None) or default
-
-
-def _render_fields(args, fields, table_lines=None, default="table"):
-    """Render a flat record in the requested format and write it out."""
-    fmt = _resolved_format(args, default)
+def _render(output, fmt) -> str:
+    """Text of a handler's output, a ``_Record`` or a ``(header, rows)``
+    dataset, in ``fmt``: table, csv or json (non-finite floats as null)."""
+    record = isinstance(output, _Record)
+    header, rows = (list(output.fields), [output.fields.values()]) if record else output
     if fmt == "json":
-        payload = {k: _json_float(v) for k, v in fields.items()}
-        text = json.dumps(payload) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields.keys())
-        writer.writerow("" if v is None else _fmt(v) for v in fields.values())
-        text = buf.getvalue()
-    else:
-        lines = table_lines if table_lines is not None else [
-            f"{key} = {_fmt(value)}" for key, value in fields.items()
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_output(args, text)
-    return EXIT_OK
-
-
-def _render_rows(args, header, rows, default="csv"):
-    fmt = _resolved_format(args, default)
-    if fmt == "json":
-        records = [
-            {k: _json_float(v) for k, v in zip(header, row)} for row in rows
-        ]
-        text = json.dumps({"records": records}) + "\n"
-    elif fmt == "csv":
+        if record:
+            payload = output.fields if output.json is None else output.json
+        else:
+            payload = {"records": [dict(zip(header, row)) for row in rows]}
+        return json.dumps(_finite(payload), allow_nan=False) + "\n"
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(_fmt(v) for v in row)
-        text = buf.getvalue()
+        writer.writerows(["" if v is None else _fmt(v) for v in row] for row in rows)
+        return buf.getvalue()
+    if record:
+        lines = output.table or [f"{k} = {_fmt(v)}" for k, v in output.fields.items()]
     else:
         cells = [header] + [[_fmt(v) for v in row] for row in rows]
         widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
         lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
                  for row in cells]
-        text = "\n".join(lines) + "\n"
-    _write_output(args, text)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
+
+
+def _write_output(out, text):
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:  # an unusable --out path is a usage error
+        raise DomainError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- CSV I/O
 
+def _correspondence(records):
+    return CSV_HEADER, [(r.mean, r.beta, r.rho, r.q) for r in records]
+
+
 def format_correspondence_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for rec in records:
-        writer.writerow([_fmt(rec.mean), _fmt(rec.beta), _fmt(rec.rho), _fmt(rec.q)])
-    return buf.getvalue()
+    return _render(_correspondence(records), "csv")
 
 
 def parse_correspondence_csv(text):
@@ -211,24 +207,23 @@ def read_correspondence_csv(path):
 
 # --------------------------------------------------------------- handlers
 
+def _value(value, **inputs):
+    """A one-value command's record; its table shows the value alone."""
+    return _Record({**inputs, "value": value}, table=[_fmt(value)])
+
+
 def _cmd_zeta(args):
-    value = hurwitz_zeta(args.s, args.a)
-    fields = {"s": args.s, "a": args.a, "value": value}
-    return _render_fields(args, fields, table_lines=[_fmt(value)])
+    return _value(hurwitz_zeta(args.s, args.a), s=args.s, a=args.a)
 
 
 def _cmd_pmf(args):
-    model = QueueModel(args.q, args.beta)
-    value = pmf(model, args.i)
-    fields = {"q": args.q, "beta": args.beta, "i": args.i, "value": value}
-    return _render_fields(args, fields, table_lines=[_fmt(value)])
+    value = pmf(QueueModel(args.q, args.beta), args.i)
+    return _value(value, q=args.q, beta=args.beta, i=args.i)
 
 
 def _cmd_tail(args):
-    model = QueueModel(args.q, args.beta)
-    value = tail(model, args.x)
-    fields = {"q": args.q, "beta": args.beta, "x": args.x, "value": value}
-    return _render_fields(args, fields, table_lines=[_fmt(value)])
+    value = tail(QueueModel(args.q, args.beta), args.x)
+    return _value(value, q=args.q, beta=args.beta, x=args.x)
 
 
 _VARIANCE_NOTE = "variance undefined: requires q > 2/3 (second moment diverges)"
@@ -236,127 +231,70 @@ _VARIANCE_NOTE = "variance undefined: requires q > 2/3 (second moment diverges)"
 
 def _cmd_metrics(args):
     model = QueueModel(args.q, args.beta)
-    points = _parse_int_list(args.tail)
-    report = qos_report(model, points)
-    fmt = _resolved_format(args)
-    if fmt == "json":
-        payload = {
-            "q": model.q,
-            "beta": model.beta,
-            "mean": report.mean,
-            "variance": report.variance,
-            "utilization": report.utilization,
-            "p0": report.p0,
-            "tail_exponent": report.tail_exponent,
-            "tail_coefficient": _json_float(report.tail_coefficient),
-            "tail_samples": [
-                {"x": x, "probability": p} for x, p in report.tail_samples
-            ],
-        }
-        if report.variance is None:
-            payload["variance_note"] = _VARIANCE_NOTE
-        _write_output(args, json.dumps(payload) + "\n")
-        return EXIT_OK
-    if fmt == "csv":
-        fields = {
-            "q": model.q,
-            "beta": model.beta,
-            "mean": report.mean,
-            "variance": report.variance,
-            "utilization": report.utilization,
-            "p0": report.p0,
-            "tail_exponent": report.tail_exponent,
-            "tail_coefficient": report.tail_coefficient,
-        }
-        for x, p in report.tail_samples:
-            fields[f"P_gt_{x}"] = p
-        return _render_fields(args, fields)
-    lines = [
-        f"q                = {_fmt(model.q)}",
-        f"beta             = {_fmt(model.beta)}",
-        f"mean             = {_fmt(report.mean)}",
-    ]
+    report = qos_report(model, _parse_list(args.tail, int))
+    fields = {
+        "q": model.q,
+        "beta": model.beta,
+        "mean": report.mean,
+        "variance": report.variance,
+        "utilization": report.utilization,
+        "p0": report.p0,
+        "tail_exponent": report.tail_exponent,
+        "tail_coefficient": report.tail_coefficient,
+    }
+    samples = report.tail_samples
+    payload = dict(fields, tail_samples=[{"x": x, "probability": p} for x, p in samples])
+    shown = fields
     if report.variance is None:
-        lines.append(f"variance         = n/a ({_VARIANCE_NOTE})")
-    else:
-        lines.append(f"variance         = {_fmt(report.variance)}")
-    lines += [
-        f"utilization      = {_fmt(report.utilization)}",
-        f"p0               = {_fmt(report.p0)}",
-        f"tail_exponent    = {_fmt(report.tail_exponent)}",
-        f"tail_coefficient = {_fmt(report.tail_coefficient)}",
-    ]
-    for x, p in report.tail_samples:
-        lines.append(f"P(i > {x}) = {_fmt(p)}")
-    _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        payload["variance_note"] = _VARIANCE_NOTE
+        shown = dict(fields, variance=f"n/a ({_VARIANCE_NOTE})")
+    table = [f"{key:<16} = {_fmt(value)}" for key, value in shown.items()]
+    table += [f"P(i > {x}) = {_fmt(p)}" for x, p in samples]
+    fields.update((f"P_gt_{x}", p) for x, p in samples)
+    return _Record(fields, payload, table)
 
 
 def _cmd_solve_beta(args):
     config = SolverConfig(beta0=args.beta0, tol=args.tol, max_iter=args.max_iter)
     result = solve_beta(args.q, args.mean, config)
-    fields = {
+    return _Record({
         "q": args.q,
         "mean": args.mean,
         "beta": result.beta,
         "iterations": result.iterations,
         "residual": result.residual,
         "fallback_used": result.fallback_used,
-    }
-    return _render_fields(args, fields)
+    })
 
 
 def _cmd_norros_mean(args):
-    value = norros_mean(args.rho, args.hurst)
-    fields = {"rho": args.rho, "hurst": args.hurst, "value": value}
-    return _render_fields(args, fields, table_lines=[_fmt(value)])
+    return _value(norros_mean(args.rho, args.hurst), rho=args.rho, hurst=args.hurst)
 
 
 def _cmd_norros_rho(args):
-    value = norros_rho(args.mean, args.hurst)
-    fields = {"mean": args.mean, "hurst": args.hurst, "value": value}
-    return _render_fields(args, fields, table_lines=[_fmt(value)])
+    return _value(norros_rho(args.mean, args.hurst), mean=args.mean, hurst=args.hurst)
 
 
 def _cmd_generate(args):
-    records = generate_correspondence(args.q, args.mean_min, args.mean_max, args.points)
-    fmt = _resolved_format(args, default="csv")
-    if fmt == "csv":
-        _write_output(args, format_correspondence_csv(records))
-        return EXIT_OK
-    rows = [(r.mean, r.beta, r.rho, r.q) for r in records]
-    return _render_rows(args, CSV_HEADER, rows, default=fmt)
+    return _correspondence(
+        generate_correspondence(args.q, args.mean_min, args.mean_max, args.points)
+    )
 
 
 def _cmd_fit(args):
     records = read_correspondence_csv(args.infile)
     data = [(r.beta, r.rho) for r in records]
     report = fit_model_i(data) if args.model == "I" else fit_model_ii(data)
-    if report.model_kind == "I":
-        named = dict(zip(("a", "b"), report.params))
-    else:
-        named = dict(zip(("c", "eta", "d", "mu"), report.params))
-    fmt = _resolved_format(args)
-    if fmt == "json":
-        payload = {
-            "model": report.model_kind,
-            "params": named,
-            "rmse": report.rmse,
-            "r_squared": report.r_squared,
-            "iterations": report.iterations,
-            "converged": report.converged,
-        }
-        _write_output(args, json.dumps(payload) + "\n")
-        return EXIT_OK
-    fields = {"model": report.model_kind}
-    fields.update(named)
-    fields.update(
-        rmse=report.rmse,
-        r_squared=report.r_squared,
-        iterations=report.iterations,
-        converged=report.converged,
-    )
-    return _render_fields(args, fields)
+    names = ("a", "b") if report.model_kind == "I" else ("c", "eta", "d", "mu")
+    params = dict(zip(names, report.params))
+    scores = {
+        "rmse": report.rmse,
+        "r_squared": report.r_squared,
+        "iterations": report.iterations,
+        "converged": report.converged,
+    }
+    kind = {"model": report.model_kind}
+    return _Record({**kind, **params, **scores}, json={**kind, "params": params, **scores})
 
 
 def figure_dataset(spec: FigureSpec):
@@ -400,7 +338,7 @@ def figure_dataset(spec: FigureSpec):
 
 def _cmd_figure(args):
     q_list = (
-        tuple(_parse_float_list(args.q_list))
+        tuple(_parse_list(args.q_list, float))
         if args.q_list is not None
         else _FIGURE_DEFAULT_Q[args.id]
     )
@@ -410,28 +348,20 @@ def _cmd_figure(args):
         mean_min=args.mean_min,
         mean_max=args.mean_max,
         points=args.points,
-        thresholds=tuple(_parse_int_list(args.thresholds)),
+        thresholds=tuple(_parse_list(args.thresholds, int)),
     )
-    header, rows = figure_dataset(spec)
-    return _render_rows(args, header, rows, default="csv")
+    return figure_dataset(spec)
 
 
 # ------------------------------------------------------------ arg parsing
 
-def _parse_float_list(text):
+def _parse_list(text, kind):
+    """Comma-separated ``kind`` (float or int) values; empty pieces are skipped."""
     try:
-        return [float(piece) for piece in str(text).split(",") if piece != ""]
+        return [kind(piece) for piece in text.split(",") if piece != ""]
     except ValueError:
-        raise DomainError(f"expected a comma-separated list of numbers, got {text!r}") from None
-
-
-def _parse_int_list(text):
-    if isinstance(text, (list, tuple)):
-        return list(text)
-    try:
-        return [int(piece) for piece in str(text).split(",") if piece != ""]
-    except ValueError:
-        raise DomainError(f"expected a comma-separated list of integers, got {text!r}") from None
+        noun = "numbers" if kind is float else "integers"
+        raise DomainError(f"expected a comma-separated list of {noun}, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", parents=[common],
                        help="plot-ready dataset for figures 1..5")
-    p.add_argument("--id", type=int, choices=(1, 2, 3, 4, 5), required=True)
+    p.add_argument("--id", type=int, choices=tuple(_FIGURE_DEFAULT_Q), required=True)
     p.add_argument("--q-list", default=None)
     p.add_argument("--mean-min", type=float, default=0.1)
     p.add_argument("--mean-max", type=float, default=100.0)
@@ -530,10 +460,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    fmt = args.format or ("csv" if args.command in ("generate", "figure") else "table")
     try:
-        return _HANDLERS[args.command](args)
+        _write_output(args.out, _render(_HANDLERS[args.command](args), fmt))
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -543,3 +473,4 @@ def main(argv=None) -> int:
     except (DomainError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK

@@ -152,13 +152,15 @@ def tail_asymptote(model: QueueModel, x) -> TailAsymptote:
     return TailAsymptote(coefficient, exponent, value)
 
 
-def _mean_at(s, c):
-    return c * math.expm1(_log_scaled(s - 1.0, c) - _log_scaled(s, c))
+def _mean_from_sums(c, s0, s1):
+    """Mean from the scaled sums s0 = S(s, c) and s1 = S(s-1, c)."""
+    return c * math.expm1(math.log(s1) - math.log(s0))
 
 
 def mean(model: QueueModel) -> float:
     """Mean number of packets, zeta(s-1, c)/zeta(s, c) - c."""
-    return _mean_at(model.s, model.c)
+    s, c = model.s, model.c
+    return _mean_from_sums(c, scaled_hurwitz_zeta(s, c), scaled_hurwitz_zeta(s - 1.0, c))
 
 
 def moment(model: QueueModel, k) -> float:

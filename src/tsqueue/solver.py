@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .distribution import QueueModel, _mean_at, _zeta_shift, mean
+from .distribution import QueueModel, _mean_from_sums, _zeta_shift, mean
 from .errors import DegenerateStep, DomainError, NoConvergence
 from .zeta import scaled_hurwitz_zeta
 
@@ -53,10 +53,8 @@ def _validate_target(q, A):
         raise DomainError(f"target mean must be positive, got {A}")
 
 
-def _newton_increment(q, beta, A, s, c):
-    """Newton increment at beta from S(s, c), S(s-1, c) and S(s+1, c)."""
-    s0 = scaled_hurwitz_zeta(s, c)
-    s1 = scaled_hurwitz_zeta(s - 1.0, c)
+def _newton_increment(q, beta, A, s, c, s0, s1):
+    """Newton increment at beta from s0 = S(s, c), s1 = S(s-1, c) and S(s+1, c)."""
     s2 = scaled_hurwitz_zeta(s + 1.0, c)
     r = A / c
     denominator = s1 - (2.0 + r) * s0 + (1.0 + r) * s2
@@ -85,7 +83,9 @@ def newton_step(q: float, beta: float, A: float) -> float:
     """
     _validate_target(q, A)
     model = QueueModel(q, beta)
-    return _newton_increment(q, beta, A, model.s, model.c)
+    s, c = model.s, model.c
+    s0, s1 = scaled_hurwitz_zeta(s, c), scaled_hurwitz_zeta(s - 1.0, c)
+    return _newton_increment(q, beta, A, s, c, s0, s1)
 
 
 def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> SolverResult:
@@ -110,22 +110,24 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
     def residual(b):
         # The bracket only narrows.  Near the root, rounding noise in the
         # mean can flip signs and cross it (lo >= hi): its width then
-        # reads <= 0 and no bisection point lies inside it.
+        # reads <= 0 and no bisection point lies inside it.  The sums
+        # returned with the residual are those the Newton step at b reuses.
         nonlocal lo, hi
         c = _zeta_shift(q, b)
-        r = _mean_at(s, c) - A
+        sums = (c, scaled_hurwitz_zeta(s, c), scaled_hurwitz_zeta(s - 1.0, c))
+        r = _mean_from_sums(*sums) - A
         if r > 0.0:
             lo = max(lo, b)
         elif r < 0.0:
             hi = min(hi, b)
-        return r, c
+        return r, sums
 
     beta = cfg.beta0 if cfg.beta0 is not None else math.log1p(1.0 / A)
-    resid, c = residual(beta)
+    resid, sums = residual(beta)
     bisected = False
     for iterations in range(1, cfg.max_iter + 1):
         try:
-            step = _newton_increment(q, beta, A, s, c)
+            step = _newton_increment(q, beta, A, s, *sums)
         except DegenerateStep:
             step = math.inf  # no Newton direction: go to the bracket
         newton = step
@@ -134,7 +136,7 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
             # A step below beta's resolution leaves nothing to evaluate.
             if candidate > 0.0 and math.isfinite(candidate) and candidate != beta:
                 inside = lo < candidate < hi
-                new_resid, new_c = residual(candidate)
+                new_resid, new_sums = residual(candidate)
                 # A tie outside the bracket is taken only at the noise
                 # floor: from a far beta0 the residual is a flat -A there.
                 if abs(new_resid) < abs(resid) or (
@@ -158,11 +160,11 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
                     beta=beta, residual=abs(resid), iterations=iterations,
                 )
             beta = midpoint
-            resid, c = residual(beta)
+            resid, sums = residual(beta)
             bisected = True
             continue
         moved = abs(candidate - beta)
-        beta, resid, c = candidate, new_resid, new_c
+        beta, resid, sums = candidate, new_resid, new_sums
         if moved <= cfg.tol * beta and abs(resid) <= target:
             return SolverResult(beta, iterations, abs(resid), bisected)
     raise NoConvergence(

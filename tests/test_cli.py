@@ -197,6 +197,23 @@ class TestGenerateAndFit:
         assert code == 3
         assert err
 
+    def test_fit_json_is_strict_for_constant_rho(self, capsys, tmp_path):
+        # Constant rho leaves Model I no variance to explain: r_squared is
+        # -inf, which JSON has no literal for, so it prints as null.
+        path = tmp_path / "constant.csv"
+        rows = "\n".join(f"1,{beta},0.5,0.6" for beta in range(1, 6))
+        path.write_text(f"mean,beta,rho,q\n{rows}\n")
+        code, out, err = run(capsys, "fit", "--model", "I", "--in", str(path),
+                             "--format", "json")
+        assert code == 0, err
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["r_squared"] is None
+
     def test_generate_json_round_trip(self, capsys):
         payload = run_json(capsys, "generate", "--q", "0.75", "--points", "5")
         assert len(payload["records"]) == 5

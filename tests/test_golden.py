@@ -1,10 +1,14 @@
 """Byte-exact CLI output for the README examples and the default figures.
 
-Each case runs in its default format and with ``--format json``, and its
-stdout must equal the file captured under ``tests/golden/``.  The README
-examples that write with ``--out`` run without it here: ``--out`` writes
-the same text to the file instead of stdout.  ``fit`` reads the captured
-``generate`` dataset, which is what the README's ``data.csv`` holds.
+Each case runs in its default format and with ``--format`` table, csv and
+json, and its stdout must equal the file captured under ``tests/golden/``:
+``<case>.txt`` for table, ``<case>.csv`` for csv and ``<case>.json`` for
+json.  A default run is compared with the file of the format it resolves
+to (csv for ``generate`` and ``figure``, table for everything else).  The
+README examples that write with ``--out`` run without it here: ``--out``
+writes the same text to the file instead of stdout.  ``fit`` reads the
+captured ``generate`` dataset, which is what the README's ``data.csv``
+holds.
 
 To capture again after an intended output change, run from the repo root:
 
@@ -25,31 +29,34 @@ CASES = {
     "pmf": ["pmf", "--q", "0.75", "--beta", "1", "--i", "0"],
     "tail": ["tail", "--q", "0.75", "--beta", "1", "--x", "100"],
     "metrics": ["metrics", "--q", "0.75", "--beta", "1", "--tail", "0,10,100"],
+    # q <= 2/3: the variance is undefined (empty csv cell, null in json)
+    "metrics-no-variance": ["metrics", "--q", "0.6", "--beta", "1"],
     "solve-beta": ["solve-beta", "--q", "0.75", "--mean", "2"],
     "norros-mean": ["norros-mean", "--rho", "0.5", "--hurst", "0.75"],
     "norros-rho": ["norros-rho", "--mean", "2", "--hurst", "0.75"],
     "generate": ["generate", "--q", "0.6", "--mean-min", "0.1",
                  "--mean-max", "100", "--points", "50"],
     "fit": ["fit", "--model", "II", "--in", str(GOLDEN / "generate.csv")],
+    "fit-model-i": ["fit", "--model", "I", "--in", str(GOLDEN / "generate.csv")],
     "figure5-q-list": ["figure", "--id", "5", "--q-list", "0.6,0.8"],
     **{f"figure{i}": ["figure", "--id", str(i)] for i in range(1, 6)},
 }
 
-# Suffix of the default-format capture; the JSON capture ends in .json.
-_CSV_DEFAULT = ("generate", "figure")
+FORMATS = (None, "table", "csv", "json")
+_SUFFIX = {"table": ".txt", "csv": ".csv", "json": ".json"}
 
 
 def golden_path(name, fmt):
-    if fmt == "json":
-        return GOLDEN / f"{name}.json"
-    return GOLDEN / (f"{name}.csv" if name.startswith(_CSV_DEFAULT) else f"{name}.txt")
+    if fmt is None:
+        fmt = "csv" if CASES[name][0] in ("generate", "figure") else "table"
+    return GOLDEN / f"{name}{_SUFFIX[fmt]}"
 
 
 def argv_for(name, fmt):
     return CASES[name] + (["--format", fmt] if fmt else [])
 
 
-@pytest.mark.parametrize("fmt", [None, "json"], ids=["default", "json"])
+@pytest.mark.parametrize("fmt", FORMATS, ids=["default", "table", "csv", "json"])
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_is_byte_identical(capsys, name, fmt):
     code = main(argv_for(name, fmt))
@@ -65,7 +72,7 @@ def _capture():
     GOLDEN.mkdir(exist_ok=True)
     # generate comes first: fit reads its capture.
     for name in CASES:
-        for fmt in (None, "json"):
+        for fmt in FORMATS[1:]:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = main(argv_for(name, fmt))
