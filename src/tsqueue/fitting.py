@@ -16,8 +16,6 @@ Two fit families are provided for rho as a function of beta:
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NoConvergence, SingularFit
 from .norros import hurst_from_q, norros_rho
 from .solver import solve_beta
@@ -61,6 +59,9 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
     """Records for a log-spaced mean grid, sorted by ascending mean."""
     if not (math.isfinite(q) and 0.5 < q < 1.0):
         raise DomainError(f"entropy index q must lie strictly in (1/2, 1), got {q}")
+    for name, value in (("mean_min", mean_min), ("mean_max", mean_max)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not (0.0 < mean_min < mean_max):
         raise DomainError(
             f"need 0 < mean_min < mean_max, got {mean_min}, {mean_max}"
@@ -70,8 +71,7 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
         raise DomainError(f"need at least 2 grid points, got {points}")
     hurst = hurst_from_q(q)
     records = []
-    for target in np.geomspace(mean_min, mean_max, points):
-        target = float(target)
+    for target in _mean_grid(mean_min, mean_max, points):
         try:
             beta = solve_beta(q, target).beta
         except NoConvergence as exc:
@@ -84,21 +84,43 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
     return records
 
 
-def _as_arrays(data, min_points):
+def _mean_grid(lo, hi, n):
+    """``n`` means spaced evenly in log10 from ``lo`` to ``hi``, both exact."""
+    la = math.log10(lo)
+    step = (math.log10(hi) - la) / (n - 1)
+    return [lo, *(math.pow(10.0, la + i * step) for i in range(1, n - 1)), hi]
+
+
+def _columns(data, min_points):
     pairs = [(float(b), float(r)) for b, r in data]
     if len(pairs) < min_points:
         raise DomainError(f"need at least {min_points} data points, got {len(pairs)}")
-    arr = np.asarray(pairs, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not all(math.isfinite(b) and math.isfinite(r) for b, r in pairs):
         raise DomainError("data contains non-finite values")
-    return arr[:, 0], arr[:, 1]
+    return [b for b, _ in pairs], [r for _, r in pairs]
 
 
-def _goodness(rho, predicted):
-    residuals = rho - predicted
-    rmse = float(np.sqrt(np.mean(residuals**2)))
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(np.sum((rho - rho.mean()) ** 2))
+def _line(x, y):
+    """Least-squares ``(intercept, slope)`` of ``y`` on ``x``, or None when
+    ``x`` is constant (or so nearly so that its spread underflows)."""
+    if len(set(x)) < 2:
+        return None
+    n = len(x)
+    x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
+    dx = [v - x_mean for v in x]
+    sxx = math.fsum(d * d for d in dx)
+    if sxx == 0.0:
+        return None
+    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / sxx
+    return y_mean - slope * x_mean, slope
+
+
+def _goodness(rho, ss_res):
+    """rmse and r_squared from the residual sum of squares ``ss_res``."""
+    n = len(rho)
+    rho_mean = math.fsum(rho) / n
+    ss_tot = math.fsum((r - rho_mean) * (r - rho_mean) for r in rho)
+    rmse = math.sqrt(ss_res / n)
     if ss_tot > 0.0:
         r_squared = 1.0 - ss_res / ss_tot
     else:
@@ -108,16 +130,14 @@ def _goodness(rho, predicted):
 
 def fit_model_i(data) -> FitReport:
     """Exact least-squares fit of rho = a + b exp(-beta)."""
-    beta, rho = _as_arrays(data, min_points=3)
-    regressor = np.exp(-beta)
-    if np.ptp(regressor) == 0.0:
-        raise SingularFit("all regressor values exp(-beta) are identical")
-    design = np.column_stack([np.ones_like(regressor), regressor])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, rho, rcond=None)
-    if rank < 2:
-        raise SingularFit("design matrix is rank deficient")
-    a, b = (float(v) for v in coeffs)
-    rmse, r_squared = _goodness(rho, a + b * regressor)
+    beta, rho = _columns(data, min_points=3)
+    regressor = [math.exp(-b) for b in beta]
+    line = _line(regressor, rho)
+    if line is None:
+        raise SingularFit("all regressor values exp(-beta) are (nearly) identical")
+    a, b = line
+    residuals = [r - (a + b * x) for r, x in zip(rho, regressor)]
+    rmse, r_squared = _goodness(rho, math.fsum(e * e for e in residuals))
     return FitReport("I", (a, b), rmse, r_squared, iterations=1, converged=True)
 
 
@@ -126,70 +146,46 @@ def fit_model_i(data) -> FitReport:
 _LOG_BOUND = 50.0
 
 
-def _model_ii_predict(theta, beta):
-    c, log_eta, d, log_mu = theta
-    eta, mu = math.exp(log_eta), math.exp(log_mu)
-    with np.errstate(over="ignore", under="ignore"):
-        power = beta ** (-eta)
-        decay = np.exp(-mu * beta)
-        prediction = c * power + d * decay
-    return prediction, (power, decay, eta, mu)
-
-
-def _model_ii_jacobian(theta, beta, parts):
-    c, _, d, _ = theta
-    power, decay, eta, mu = parts
-    return np.column_stack([
-        power,
-        -c * eta * np.log(beta) * power,
-        decay,
-        -d * mu * beta * decay,
-    ])
-
-
 def _model_ii_starts(beta, rho):
     """Deterministic start points; each term's parameters come from the
     regime where that term dominates, plus a Model-I-like start so the
     optimizer can reach nearly-pure-exponential solutions."""
-    order = np.argsort(beta)
-    b_sorted, r_sorted = beta[order], rho[order]
+    b_sorted, r_sorted = zip(*sorted(zip(beta, rho)))
     half = max(len(b_sorted) // 2, 2)
-    low_b, low_r = b_sorted[:half], r_sorted[:half]
-    high_b, high_r = b_sorted[-half:], r_sorted[-half:]
-    rho_scale = max(float(np.max(np.abs(r_sorted))), 1e-6)
+    low = [(b, r) for b, r in zip(b_sorted[:half], r_sorted[:half]) if r > 0.0]
+    high = [(b, r) for b, r in zip(b_sorted[-half:], r_sorted[-half:]) if r > 0.0]
+    rho_scale = max(max(abs(r) for r in r_sorted), 1e-6)
 
     # decay rate and amplitude from ln rho vs beta on the low-beta half
     d0, mu0 = rho_scale, 1.0
-    mask = low_r > 0.0
-    if mask.sum() >= 2:
-        slope, intercept = np.polyfit(low_b[mask], np.log(low_r[mask]), 1)
+    line = _line([b for b, _ in low], [math.log(r) for _, r in low])
+    if line is not None:
+        intercept, slope = line
         if math.isfinite(slope) and slope < 0.0:
-            mu0 = min(max(-float(slope), 1e-2), 1e2)
+            mu0 = min(max(-slope, 1e-2), 1e2)
         if math.isfinite(intercept):
-            d0 = float(np.exp(np.clip(intercept, -30.0, 30.0)))
+            d0 = math.exp(min(max(intercept, -30.0), 30.0))
 
     # power-law amplitude and exponent from ln rho vs ln beta on the
     # high-beta half
     c0, eta0 = 1e-3 * rho_scale, 1.0
-    mask = high_r > 0.0
-    if mask.sum() >= 2:
-        slope, intercept = np.polyfit(np.log(high_b[mask]), np.log(high_r[mask]), 1)
+    line = _line([math.log(b) for b, _ in high], [math.log(r) for _, r in high])
+    if line is not None:
+        intercept, slope = line
         if math.isfinite(slope):
-            eta0 = min(max(-float(slope), 1e-2), 1e2)
+            eta0 = min(max(-slope, 1e-2), 1e2)
         if math.isfinite(intercept):
-            c0 = float(np.exp(np.clip(intercept, -30.0, 30.0)))
+            c0 = math.exp(min(max(intercept, -30.0), 30.0))
 
     # Model-I-like start: constant-ish power term plus unit-rate decay
-    design = np.column_stack([np.ones_like(b_sorted), np.exp(-b_sorted)])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, r_sorted, rcond=None)
-    a_full, b_full = (float(v) for v in coeffs) if rank == 2 else (0.0, rho_scale)
+    line = _line([math.exp(-b) for b in b_sorted], r_sorted)
+    a_full, b_full = (0.0, rho_scale) if line is None else line
 
-    starts = [
-        np.array([c0, math.log(eta0), d0, 0.0]),
-        np.array([c0, math.log(eta0), d0, math.log(mu0)]),
-        np.array([a_full, math.log(1e-2), max(b_full, 1e-3 * rho_scale), math.log(mu0)]),
+    return [
+        [c0, math.log(eta0), d0, 0.0],
+        [c0, math.log(eta0), d0, math.log(mu0)],
+        [a_full, math.log(1e-2), max(b_full, 1e-3 * rho_scale), math.log(mu0)],
     ]
-    return starts
 
 
 def _clamp_theta(theta):
@@ -199,24 +195,43 @@ def _clamp_theta(theta):
 
 
 def _gauss_newton(theta, beta, rho):
-    """One damped Gauss-Newton run; returns (converged, sse, theta, iters)."""
-    theta = _clamp_theta(theta.copy())
+    """One damped Gauss-Newton run from ``theta`` = [c, log eta, d, log mu];
+    returns (converged, sse, theta, iters).  The package's only numpy code:
+    per point in Python, a fit's thousands of model evaluations take about
+    four times as long."""
+    import numpy as np
+
+    beta, rho = np.array(beta, dtype=float), np.array(rho, dtype=float)
+    log_beta = np.log(beta)
+
+    def evaluate(theta):
+        c, log_eta, d, log_mu = theta
+        eta, mu = math.exp(log_eta), math.exp(log_mu)
+        with np.errstate(all="ignore"):  # inf or nan here rejects the step
+            power = beta ** (-eta)
+            decay = np.exp(-mu * beta)
+            residuals = rho - (c * power + d * decay)
+            sse = float(residuals @ residuals)
+        return residuals, sse, (power, decay, eta, mu)
+
+    theta = _clamp_theta(np.array(theta, dtype=float))
     lam = 1e-3
     n = len(beta)
-    predicted, parts = _model_ii_predict(theta, beta)
-    residuals = rho - predicted
-    sse = float(residuals @ residuals)
+    residuals, sse, parts = evaluate(theta)
     if not math.isfinite(sse):
-        return False, math.inf, theta, 1
+        return False, math.inf, theta.tolist(), 1
     best_sse, best_theta = sse, theta.copy()
     for iteration in range(1, _MAX_GN_ITER + 1):
-        jac = _model_ii_jacobian(theta, beta, parts)
+        power, decay, eta, mu = parts
+        jac = np.column_stack([
+            power, -theta[0] * eta * log_beta * power, decay, -theta[2] * mu * beta * decay,
+        ])
         gradient = jac.T @ residuals
         rmse = math.sqrt(sse / n)
         if sse < best_sse:
             best_sse, best_theta = sse, theta.copy()
         if np.max(np.abs(gradient)) <= _GRADIENT_TOL * (1.0 + rmse):
-            return True, sse, theta, iteration
+            return True, sse, theta.tolist(), iteration
         jtj = jac.T @ jac
         damping = np.diag(np.clip(np.diag(jtj), 1e-12, None))
         try:
@@ -224,27 +239,23 @@ def _gauss_newton(theta, beta, rho):
         except np.linalg.LinAlgError:
             lam *= 10.0
             if lam > 1e14:
-                return False, best_sse, best_theta, iteration
+                return False, best_sse, best_theta.tolist(), iteration
             continue
         trial = _clamp_theta(theta + delta)
-        trial_pred, trial_parts = _model_ii_predict(trial, beta)
-        trial_res = rho - trial_pred
-        with np.errstate(over="ignore", invalid="ignore"):
-            trial_sse = float(trial_res @ trial_res)
+        trial_res, trial_sse, trial_parts = evaluate(trial)
         if math.isfinite(trial_sse) and trial_sse <= sse:
             step_small = np.max(np.abs(trial - theta)) <= 1e-15 * (
                 1.0 + np.max(np.abs(theta))
             )
-            theta, predicted, parts = trial, trial_pred, trial_parts
-            residuals, sse = trial_res, trial_sse
+            theta, parts, residuals, sse = trial, trial_parts, trial_res, trial_sse
             lam = max(lam * 0.1, 1e-14)
             if step_small:
-                return True, sse, theta, iteration
+                return True, sse, theta.tolist(), iteration
         else:
             lam *= 10.0
             if lam > 1e14:
-                return False, best_sse, best_theta, iteration
-    return False, best_sse, best_theta, _MAX_GN_ITER
+                return False, best_sse, best_theta.tolist(), iteration
+    return False, best_sse, best_theta.tolist(), _MAX_GN_ITER
 
 
 def fit_model_ii(data) -> FitReport:
@@ -254,37 +265,25 @@ def fit_model_ii(data) -> FitReport:
     genuine local minima, e.g. on nearly pure-exponential data) and
     returns the best converged solution.
     """
-    beta, rho = _as_arrays(data, min_points=5)
-    if np.any(beta <= 0.0):
+    beta, rho = _columns(data, min_points=5)
+    if any(b <= 0.0 for b in beta):
         raise DomainError("Model II requires all beta > 0")
-    if np.ptp(beta) == 0.0:
+    if min(beta) == max(beta):
         raise SingularFit("all beta values are identical")
 
-    best_converged = None
-    best_any = None
-    for start in _model_ii_starts(beta, rho):
-        converged, sse, theta, iterations = _gauss_newton(start, beta, rho)
-        candidate = (sse, theta, iterations)
-        if best_any is None or sse < best_any[0]:
-            best_any = candidate
-        if converged and (best_converged is None or sse < best_converged[0]):
-            best_converged = candidate
-    if best_converged is not None:
-        sse, theta, iterations = best_converged
-        return _model_ii_report(theta, beta, rho, iterations, converged=True)
-    sse, theta, iterations = best_any
-    report = _model_ii_report(theta, beta, rho, iterations, converged=False)
-    raise NoConvergence(
-        f"Model II fit did not converge (best rmse={report.rmse})", report=report
+    runs = [_gauss_newton(start, beta, rho) for start in _model_ii_starts(beta, rho)]
+    converged, sse, theta, iterations = min(
+        [run for run in runs if run[0]] or runs, key=lambda run: run[1]
     )
-
-
-def _model_ii_report(theta, beta, rho, iterations, converged):
     c, log_eta, d, log_mu = theta
-    predicted, _ = _model_ii_predict(theta, beta)
-    rmse, r_squared = _goodness(rho, predicted)
-    params = (float(c), math.exp(log_eta), float(d), math.exp(log_mu))
-    return FitReport("II", params, rmse, r_squared, iterations, converged)
+    rmse, r_squared = _goodness(rho, sse)
+    params = (c, math.exp(log_eta), d, math.exp(log_mu))
+    report = FitReport("II", params, rmse, r_squared, iterations, converged)
+    if not converged:
+        raise NoConvergence(
+            f"Model II fit did not converge (best rmse={rmse})", report=report
+        )
+    return report
 
 
 def evaluate_fit(report: FitReport, beta: float) -> float:

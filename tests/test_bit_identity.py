@@ -7,8 +7,12 @@ last-bit change fails, against captures under ``tests/golden/``:
 - ``zeta-grid.txt``: S(sigma, a) for sigma in {s-1, s, s+1, s-2} (where
   sigma > 1) over a log grid of s and a;
 - ``solver-grid.txt``: the full ``SolverResult`` on the default figure
-  grids (6 q x 50 means) and on the 35-point round-trip grid of
-  acceptance criterion 7.
+  grids (6 q x 50 means from ``tsqueue.fitting``'s own mean grid, so the
+  targets are the ones ``generate`` and ``figure`` solve for) and on the
+  35-point round-trip grid of acceptance criterion 7.
+
+Neither capture runs numpy code, so numpy's choice of CPU kernels cannot
+change them.
 
 To capture again after an intended change of the arithmetic, run from the
 repo root:
@@ -18,9 +22,8 @@ repo root:
 
 from pathlib import Path
 
-import numpy as np
-
 from tsqueue.distribution import QueueModel, mean
+from tsqueue.fitting import _mean_grid
 from tsqueue.solver import solve_beta
 from tsqueue.zeta import scaled_hurwitz_zeta
 
@@ -30,7 +33,7 @@ ZETA_S = (2.0001, 2.5, 3.0, 5.0, 10.0, 100.0, 1e3, 1e4, 1e6)
 ZETA_A = (1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e12)
 
 FIGURE_Q = (0.6, 0.7, 0.75, 0.8, 0.9, 0.95)  # every q of the default figures
-FIGURE_MEANS = tuple(float(m) for m in np.geomspace(0.1, 100.0, 50))
+FIGURE_MEANS = tuple(_mean_grid(0.1, 100.0, 50))  # the default figure grid
 ROUND_TRIP_Q = (0.55, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95)
 ROUND_TRIP_BETA = (0.1, 0.5, 1.0, 2.0, 5.0)
 

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tsqueue
 from tsqueue.cli import (
     FigureSpec,
     figure_dataset,
@@ -28,10 +33,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*args):
+    """``python *args`` in a fresh interpreter that imports this tsqueue."""
+    path = [str(Path(tsqueue.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 def run_json(capsys, *argv):
+    """The command's JSON output, parsed strictly and checked on the schema."""
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0, err
-    payload = json.loads(out)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(out, parse_constant=reject)
     jsonschema.validate(payload, SCHEMA)
     return payload
 
@@ -69,6 +87,12 @@ class TestDistributionCommands:
         assert payload["utilization"] == pytest.approx(0.4776, abs=1e-4)
         assert payload["tail_exponent"] == pytest.approx(3.0)
         assert [s["x"] for s in payload["tail_samples"]] == [0, 10, 100]
+
+    def test_metrics_json_prints_infinite_tail_coefficient_as_null(self, capsys):
+        # At q = 0.9999 the power-tail coefficient overflows to inf, which
+        # strict JSON has no literal for.
+        payload = run_json(capsys, "metrics", "--q", "0.9999", "--beta", "1")
+        assert payload["tail_coefficient"] is None
 
     def test_metrics_variance_note(self, capsys):
         payload = run_json(capsys, "metrics", "--q", "0.6", "--beta", "1")
@@ -198,21 +222,35 @@ class TestGenerateAndFit:
         assert err
 
     def test_fit_json_is_strict_for_constant_rho(self, capsys, tmp_path):
-        # Constant rho leaves Model I no variance to explain: r_squared is
-        # -inf, which JSON has no literal for, so it prints as null.
+        # Constant rho is the line a = 0.5, b = 0: nothing is left over, and
+        # with no variance to explain r_squared is 1 by convention.
         path = tmp_path / "constant.csv"
         rows = "\n".join(f"1,{beta},0.5,0.6" for beta in range(1, 6))
         path.write_text(f"mean,beta,rho,q\n{rows}\n")
-        code, out, err = run(capsys, "fit", "--model", "I", "--in", str(path),
-                             "--format", "json")
-        assert code == 0, err
+        payload = run_json(capsys, "fit", "--model", "I", "--in", str(path))
+        assert payload["params"] == {"a": 0.5, "b": 0.0}
+        assert (payload["rmse"], payload["r_squared"]) == (0.0, 1.0)
 
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
+    def test_fit_model_ii_with_repeated_low_betas_is_silent(self, tmp_path):
+        # The low-beta start line sees one beta six times; the fit must fall
+        # back to the default start without a warning on stderr.
+        path = tmp_path / "repeated.csv"
+        betas = [0.5] * 6 + [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        rows = "\n".join(f"1,{b!r},{0.1 * b**-1.5 + 0.6 * math.exp(-2.0 * b)!r},0.6"
+                         for b in betas)
+        path.write_text(f"mean,beta,rho,q\n{rows}\n")
+        result = run_python("-m", "tsqueue", "fit", "--model", "II", "--in", str(path))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
 
-        payload = json.loads(out, parse_constant=reject)
-        jsonschema.validate(payload, SCHEMA)
-        assert payload["r_squared"] is None
+    @pytest.mark.parametrize("flag,name,value", [
+        ("--mean-max", "mean_max", "inf"), ("--mean-min", "mean_min", "nan"),
+    ])
+    def test_generate_rejects_non_finite_mean_bounds(self, capsys, flag, name, value):
+        code, out, err = run(capsys, "generate", "--q", "0.6", flag, value)
+        assert code == 2
+        assert err == f"error: {name} must be finite, got {value}\n"
+        assert not out
 
     def test_generate_json_round_trip(self, capsys):
         payload = run_json(capsys, "generate", "--q", "0.75", "--points", "5")
@@ -305,6 +343,39 @@ class TestFigureCommand:
         header, rows = figure_dataset(FigureSpec(figure_id=1, q_list=(0.75,), points=5))
         assert header == ["q", "beta", "rho"]
         assert len(rows) == 5
+
+
+class TestNumpyLoading:
+    # numpy is imported inside Model II's Gauss-Newton loop only, so every
+    # other command starts without paying for its import.
+    PROBE = """
+import contextlib, io, json, sys
+from tsqueue.cli import main
+loaded = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded[" ".join(argv[:3])] = (code, "numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+    def test_only_model_ii_loads_numpy(self):
+        data = str(Path(__file__).parent / "golden" / "generate.csv")
+        commands = [
+            ["generate", "--q", "0.6"],
+            ["figure", "--id", "1"],
+            ["fit", "--model", "I", "--in", data],
+            ["fit", "--model", "II", "--in", data],
+        ]
+        result = run_python("-c", self.PROBE, json.dumps(commands))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {
+            "import": False,
+            "generate --q 0.6": [0, False],
+            "figure --id 1": [0, False],
+            "fit --model I": [0, False],
+            "fit --model II": [0, True],
+        }
 
 
 class TestUsageErrors:
