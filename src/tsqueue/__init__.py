@@ -8,66 +8,15 @@ storage model through the Hurst parameter, and fits the two candidate
 rho(beta) relationships.
 """
 
-from . import errors
-from .distribution import (
-    QosReport,
-    QueueModel,
-    TailAsymptote,
-    log_pmf,
-    mean,
-    moment,
-    pmf,
-    qos_report,
-    tail,
-    tail_asymptote,
-    utilization,
-    variance,
-)
-from .fitting import (
-    CorrespondenceRecord,
-    FitReport,
-    evaluate_fit,
-    fit_model_i,
-    fit_model_ii,
-    generate_correspondence,
-)
-from .norros import hurst_from_q, norros_mean, norros_rho, q_from_hurst
-from .solver import SolverConfig, SolverResult, mean_residual, newton_step, solve_beta
-from .zeta import hurwitz_zeta, log_hurwitz_zeta, scaled_hurwitz_zeta
+from . import distribution, errors, fitting, norros, solver, zeta
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "QueueModel",
-    "QosReport",
-    "TailAsymptote",
-    "pmf",
-    "log_pmf",
-    "tail",
-    "tail_asymptote",
-    "mean",
-    "moment",
-    "variance",
-    "utilization",
-    "qos_report",
-    "SolverConfig",
-    "SolverResult",
-    "mean_residual",
-    "newton_step",
-    "solve_beta",
-    "norros_mean",
-    "norros_rho",
-    "q_from_hurst",
-    "hurst_from_q",
-    "CorrespondenceRecord",
-    "FitReport",
-    "generate_correspondence",
-    "fit_model_i",
-    "fit_model_ii",
-    "evaluate_fit",
-    "hurwitz_zeta",
-    "log_hurwitz_zeta",
-    "scaled_hurwitz_zeta",
-    "__version__",
-]
+# The public names are those of the layer modules' ``__all__`` lists, each
+# declared once, in the module that defines it.
+__all__ = ["errors"]
+for _layer in (distribution, solver, norros, fitting, zeta):
+    globals().update((name, getattr(_layer, name)) for name in _layer.__all__)
+    __all__ += _layer.__all__
+__all__.append("__version__")
+del _layer

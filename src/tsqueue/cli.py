@@ -14,15 +14,25 @@ payload is a dataset; everything else defaults to table.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .distribution import QueueModel, pmf, qos_report, tail, utilization, variance
+from .distribution import (
+    _TAIL_POINTS,
+    QueueModel,
+    _validate_q,
+    pmf,
+    qos_report,
+    tail,
+    utilization,
+    variance,
+)
 from .errors import (
     DegenerateStep,
     DomainError,
@@ -31,6 +41,9 @@ from .errors import (
     SingularFit,
 )
 from .fitting import (
+    _MEAN_MAX,
+    _MEAN_MIN,
+    _POINTS,
     CorrespondenceRecord,
     evaluate_fit,
     fit_model_i,
@@ -50,14 +63,34 @@ EXIT_BAD_INPUT = 4
 
 CSV_HEADER = ["mean", "beta", "rho", "q"]
 
-_FIGURE_DEFAULT_Q = {
-    1: (0.6, 0.7, 0.8, 0.9, 0.95),
-    2: (0.6, 0.7, 0.8, 0.9),
-    3: (0.7, 0.75, 0.8, 0.9),
-    4: (0.6, 0.7, 0.8, 0.9),
-    5: (0.6, 0.7, 0.8, 0.9),
-}
 _DEFAULT_THRESHOLDS = (10, 100, 1000)
+
+
+class _Figure(NamedTuple):
+    """One figure: its default q-list, its columns (a ``{}`` column stands
+    for one column per threshold), and its row for one correspondence
+    record, from that record's model, the q's fits and the thresholds."""
+
+    q_list: tuple
+    columns: tuple
+    row: Callable
+    fitted: bool = False  # the row needs Model I and II fits of the q's records
+
+
+_FIGURES = {
+    1: _Figure((0.6, 0.7, 0.8, 0.9, 0.95), ("q", "beta", "rho"),
+               lambda r, model, fits, xs: (r.q, r.beta, r.rho)),
+    2: _Figure((0.6, 0.7, 0.8, 0.9), ("q", "beta", "rho", "rho_model_i", "rho_model_ii"),
+               lambda r, model, fits, xs: (
+                   r.q, r.beta, r.rho, *(evaluate_fit(fit, r.beta) for fit in fits)),
+               fitted=True),
+    3: _Figure((0.7, 0.75, 0.8, 0.9), ("q", "rho", "variance"),
+               lambda r, model, fits, xs: (r.q, r.rho, variance(model))),
+    4: _Figure((0.6, 0.7, 0.8, 0.9), ("q", "rho", "overflow_at_{}"),
+               lambda r, model, fits, xs: (r.q, r.rho, *(tail(model, x) for x in xs))),
+    5: _Figure((0.6, 0.7, 0.8, 0.9), ("q", "rho", "utilization", "mm1_utilization"),
+               lambda r, model, fits, xs: (r.q, r.rho, utilization(model), r.rho)),
+}
 
 
 @dataclass(frozen=True)
@@ -66,21 +99,20 @@ class FigureSpec:
 
     figure_id: int
     q_list: tuple
-    mean_min: float = 0.1
-    mean_max: float = 100.0
-    points: int = 50
+    mean_min: float = _MEAN_MIN
+    mean_max: float = _MEAN_MAX
+    points: int = _POINTS
     thresholds: tuple = _DEFAULT_THRESHOLDS
 
     def __post_init__(self):
-        if self.figure_id not in _FIGURE_DEFAULT_Q:
+        if self.figure_id not in _FIGURES:
             raise DomainError(
-                f"figure id must be one of {list(_FIGURE_DEFAULT_Q)}, got {self.figure_id}"
+                f"figure id must be one of {list(_FIGURES)}, got {self.figure_id}"
             )
         if not self.q_list:
             raise DomainError("q list must not be empty")
         for q in self.q_list:
-            if not (math.isfinite(q) and 0.5 < q < 1.0):
-                raise DomainError(f"every q must lie strictly in (1/2, 1), got {q}")
+            _validate_q(q)
         if not self.thresholds:
             raise DomainError("thresholds must not be empty")
         if any(x < 0 for x in self.thresholds):
@@ -232,17 +264,8 @@ _VARIANCE_NOTE = "variance undefined: requires q > 2/3 (second moment diverges)"
 def _cmd_metrics(args):
     model = QueueModel(args.q, args.beta)
     report = qos_report(model, _parse_list(args.tail, int))
-    fields = {
-        "q": model.q,
-        "beta": model.beta,
-        "mean": report.mean,
-        "variance": report.variance,
-        "utilization": report.utilization,
-        "p0": report.p0,
-        "tail_exponent": report.tail_exponent,
-        "tail_coefficient": report.tail_coefficient,
-    }
-    samples = report.tail_samples
+    fields = {"q": model.q, "beta": model.beta, **asdict(report)}
+    samples = fields.pop("tail_samples")
     payload = dict(fields, tail_samples=[{"x": x, "probability": p} for x, p in samples])
     shown = fields
     if report.variance is None:
@@ -257,14 +280,7 @@ def _cmd_metrics(args):
 def _cmd_solve_beta(args):
     config = SolverConfig(beta0=args.beta0, tol=args.tol, max_iter=args.max_iter)
     result = solve_beta(args.q, args.mean, config)
-    return _Record({
-        "q": args.q,
-        "mean": args.mean,
-        "beta": result.beta,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "fallback_used": result.fallback_used,
-    })
+    return _Record({"q": args.q, "mean": args.mean, **asdict(result)})
 
 
 def _cmd_norros_mean(args):
@@ -286,14 +302,9 @@ def _cmd_fit(args):
     data = [(r.beta, r.rho) for r in records]
     report = fit_model_i(data) if args.model == "I" else fit_model_ii(data)
     names = ("a", "b") if report.model_kind == "I" else ("c", "eta", "d", "mu")
-    params = dict(zip(names, report.params))
-    scores = {
-        "rmse": report.rmse,
-        "r_squared": report.r_squared,
-        "iterations": report.iterations,
-        "converged": report.converged,
-    }
-    kind = {"model": report.model_kind}
+    scores = asdict(report)  # rmse, r_squared, iterations, converged once popped
+    kind = {"model": scores.pop("model_kind")}
+    params = dict(zip(names, scores.pop("params")))
     return _Record({**kind, **params, **scores}, json={**kind, "params": params, **scores})
 
 
@@ -301,38 +312,19 @@ def figure_dataset(spec: FigureSpec):
     """Header and rows for one figure; rows grouped by q, ascending mean."""
     if spec.figure_id == 3 and any(q <= 2.0 / 3.0 for q in spec.q_list):
         raise DomainError("figure 3 plots the variance, which requires every q > 2/3")
-    if spec.figure_id == 1:
-        header = ["q", "beta", "rho"]
-    elif spec.figure_id == 2:
-        header = ["q", "beta", "rho", "rho_model_i", "rho_model_ii"]
-    elif spec.figure_id == 3:
-        header = ["q", "rho", "variance"]
-    elif spec.figure_id == 4:
-        header = ["q", "rho"] + [f"overflow_at_{x}" for x in spec.thresholds]
-    else:
-        header = ["q", "rho", "utilization", "mm1_utilization"]
+    figure = _FIGURES[spec.figure_id]
+    header = []
+    for name in figure.columns:
+        header += [name.format(x) for x in spec.thresholds] if "{}" in name else [name]
     rows = []
     for q in spec.q_list:
         records = generate_correspondence(q, spec.mean_min, spec.mean_max, spec.points)
-        if spec.figure_id == 2:
+        fits = ()
+        if figure.fitted:
             data = [(r.beta, r.rho) for r in records]
-            model_i = fit_model_i(data)
-            model_ii = fit_model_ii(data)
-        for rec in records:
-            model = QueueModel(q, rec.beta)
-            if spec.figure_id == 1:
-                rows.append((q, rec.beta, rec.rho))
-            elif spec.figure_id == 2:
-                rows.append((q, rec.beta, rec.rho,
-                             evaluate_fit(model_i, rec.beta),
-                             evaluate_fit(model_ii, rec.beta)))
-            elif spec.figure_id == 3:
-                rows.append((q, rec.rho, variance(model)))
-            elif spec.figure_id == 4:
-                rows.append((q, rec.rho,
-                             *(tail(model, x) for x in spec.thresholds)))
-            else:
-                rows.append((q, rec.rho, utilization(model), rec.rho))
+            fits = (fit_model_i(data), fit_model_ii(data))
+        rows += [figure.row(r, QueueModel(q, r.beta), fits, spec.thresholds)
+                 for r in records]
     return header, rows
 
 
@@ -340,7 +332,7 @@ def _cmd_figure(args):
     q_list = (
         tuple(_parse_list(args.q_list, float))
         if args.q_list is not None
-        else _FIGURE_DEFAULT_Q[args.id]
+        else _FIGURES[args.id].q_list
     )
     spec = FigureSpec(
         figure_id=args.id,
@@ -365,6 +357,10 @@ def _parse_list(text, kind):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tsqueue`` parser.  Each command's parser sets its ``handler``
+    and its ``default_format``, the format used when ``--format`` is not
+    given.  ``--format`` and ``--out`` go before or after the command, and
+    stay unset when not given."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("table", "csv", "json"), default=argparse.SUPPRESS,
@@ -373,97 +369,84 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", default=argparse.SUPPRESS, help="write output to this path instead of stdout"
     )
+    with_q = argparse.ArgumentParser(add_help=False)
+    with_q.add_argument("--q", type=float, required=True)
+    model = argparse.ArgumentParser(add_help=False, parents=[with_q])
+    model.add_argument("--beta", type=float, required=True)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--mean-min", type=float, default=_MEAN_MIN)
+    grid.add_argument("--mean-max", type=float, default=_MEAN_MAX)
+    grid.add_argument("--points", type=int, default=_POINTS)
 
     parser = argparse.ArgumentParser(
-        prog="tsqueue",
+        prog="tsqueue", parents=[common],
         description="Heavy-tailed maximum-entropy queue model: distribution, "
         "solver, storage-model bridge, fits and figure datasets.",
     )
-    parser.add_argument("--format", choices=("table", "csv", "json"), default=None)
-    parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("zeta", parents=[common], help="evaluate the Hurwitz zeta function")
+    def command(name, handler, help, parents=(), default_format="table"):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(handler=handler, default_format=default_format)
+        return p
+
+    p = command("zeta", _cmd_zeta, "evaluate the Hurwitz zeta function")
     p.add_argument("s", type=float)
     p.add_argument("a", type=float)
 
-    p = sub.add_parser("pmf", parents=[common], help="P(i packets in system)")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p = command("pmf", _cmd_pmf, "P(i packets in system)", [model])
     p.add_argument("--i", type=int, required=True)
 
-    p = sub.add_parser("tail", parents=[common], help="overflow probability P(i > x)")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p = command("tail", _cmd_tail, "overflow probability P(i > x)", [model])
     p.add_argument("--x", type=int, required=True)
 
-    p = sub.add_parser("metrics", parents=[common], help="QoS report for one model")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--tail", default="0,10,100",
+    p = command("metrics", _cmd_metrics, "QoS report for one model", [model])
+    p.add_argument("--tail", default=",".join(map(str, _TAIL_POINTS)),
                    help="comma-separated overflow thresholds")
 
-    p = sub.add_parser("solve-beta", parents=[common],
-                       help="recover beta from a target mean")
-    p.add_argument("--q", type=float, required=True)
+    p = command("solve-beta", _cmd_solve_beta, "recover beta from a target mean", [with_q])
     p.add_argument("--mean", type=float, required=True)
-    p.add_argument("--beta0", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--beta0", type=float, default=SolverConfig.beta0)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
 
-    p = sub.add_parser("norros-mean", parents=[common],
-                       help="storage-model mean for (rho, H)")
+    p = command("norros-mean", _cmd_norros_mean, "storage-model mean for (rho, H)")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--hurst", type=float, required=True)
 
-    p = sub.add_parser("norros-rho", parents=[common],
-                       help="invert the storage model for rho")
+    p = command("norros-rho", _cmd_norros_rho, "invert the storage model for rho")
     p.add_argument("--mean", type=float, required=True)
     p.add_argument("--hurst", type=float, required=True)
 
-    p = sub.add_parser("generate", parents=[common],
-                       help="correspondence records over a mean grid")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--mean-min", type=float, default=0.1)
-    p.add_argument("--mean-max", type=float, default=100.0)
-    p.add_argument("--points", type=int, default=50)
+    command("generate", _cmd_generate, "correspondence records over a mean grid",
+            [with_q, grid], default_format="csv")
 
-    p = sub.add_parser("fit", parents=[common],
-                       help="fit Model I or II to a correspondence CSV")
+    p = command("fit", _cmd_fit, "fit Model I or II to a correspondence CSV")
     p.add_argument("--model", choices=("I", "II"), required=True)
     p.add_argument("--in", dest="infile", required=True)
 
-    p = sub.add_parser("figure", parents=[common],
-                       help="plot-ready dataset for figures 1..5")
-    p.add_argument("--id", type=int, choices=tuple(_FIGURE_DEFAULT_Q), required=True)
+    p = command("figure", _cmd_figure, "plot-ready dataset for figures 1..5", [grid],
+                default_format="csv")
+    p.add_argument("--id", type=int, choices=tuple(_FIGURES), required=True)
     p.add_argument("--q-list", default=None)
-    p.add_argument("--mean-min", type=float, default=0.1)
-    p.add_argument("--mean-max", type=float, default=100.0)
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--thresholds", default="10,100,1000")
+    p.add_argument("--thresholds", default=",".join(map(str, _DEFAULT_THRESHOLDS)))
 
     return parser
 
 
-_HANDLERS = {
-    "zeta": _cmd_zeta,
-    "pmf": _cmd_pmf,
-    "tail": _cmd_tail,
-    "metrics": _cmd_metrics,
-    "solve-beta": _cmd_solve_beta,
-    "norros-mean": _cmd_norros_mean,
-    "norros-rho": _cmd_norros_rho,
-    "generate": _cmd_generate,
-    "fit": _cmd_fit,
-    "figure": _cmd_figure,
-}
+@functools.cache
+def _parser():
+    """The parser, built once per process on first use: building it takes
+    about a millisecond, more than many a command's own work."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    fmt = args.format or ("csv" if args.command in ("generate", "figure") else "table")
+    args = _parser().parse_args(argv)
     try:
-        _write_output(args.out, _render(_HANDLERS[args.command](args), fmt))
+        output = args.handler(args)
+        given = vars(args)
+        _write_output(given.get("out"), _render(output, given.get("format", args.default_format)))
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -35,6 +35,15 @@ __all__ = [
 
 _TWO_THIRDS = 2.0 / 3.0
 _LOG_MAX = math.log(1.7976931348623157e308)
+_TAIL_POINTS = (0, 10, 100)
+
+
+def _validate_q(q):
+    """``q`` as a float; DomainError unless it lies strictly in (1/2, 1)."""
+    q = float(q)
+    if not 0.5 < q < 1.0:  # also rejects nan and inf
+        raise DomainError(f"entropy index q must lie strictly in (1/2, 1), got q={q}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -45,12 +54,10 @@ class QueueModel:
     beta: float
 
     def __post_init__(self):
-        q = float(self.q)
+        q = _validate_q(self.q)
         beta = float(self.beta)
-        if not (math.isfinite(q) and math.isfinite(beta)):
+        if not math.isfinite(beta):
             raise DomainError(f"model parameters must be finite, got q={q}, beta={beta}")
-        if not 0.5 < q < 1.0:
-            raise DomainError(f"entropy index q must lie strictly in (1/2, 1), got q={q}")
         if beta <= 0.0:
             raise DomainError(f"beta must be positive, got beta={beta}")
         object.__setattr__(self, "q", q)
@@ -205,7 +212,7 @@ def utilization(model: QueueModel) -> float:
     return 1.0 - 1.0 / scaled_hurwitz_zeta(model.s, model.c)
 
 
-def qos_report(model: QueueModel, tail_points=(0, 10, 100)) -> QosReport:
+def qos_report(model: QueueModel, tail_points=_TAIL_POINTS) -> QosReport:
     """Bundle mean, variance (when finite), utilization and tail table."""
     points = sorted({_index(x, "tail point") for x in tail_points})
     p0 = pmf(model, 0)

@@ -16,6 +16,7 @@ Two fit families are provided for rho as a function of beta:
 import math
 from dataclasses import dataclass
 
+from .distribution import _validate_q
 from .errors import DomainError, NoConvergence, SingularFit
 from .norros import hurst_from_q, norros_rho
 from .solver import solve_beta
@@ -29,6 +30,8 @@ __all__ = [
     "evaluate_fit",
 ]
 
+# The default mean grid: _POINTS means log-spaced from _MEAN_MIN to _MEAN_MAX.
+_MEAN_MIN, _MEAN_MAX, _POINTS = 0.1, 100.0, 50
 _GRADIENT_TOL = 1e-8
 _MAX_GN_ITER = 500
 
@@ -55,10 +58,9 @@ class FitReport:
     converged: bool
 
 
-def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
+def generate_correspondence(q, mean_min=_MEAN_MIN, mean_max=_MEAN_MAX, points=_POINTS):
     """Records for a log-spaced mean grid, sorted by ascending mean."""
-    if not (math.isfinite(q) and 0.5 < q < 1.0):
-        raise DomainError(f"entropy index q must lie strictly in (1/2, 1), got {q}")
+    _validate_q(q)
     for name, value in (("mean_min", mean_min), ("mean_max", mean_max)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
@@ -131,7 +133,12 @@ def _goodness(rho, ss_res):
 def fit_model_i(data) -> FitReport:
     """Exact least-squares fit of rho = a + b exp(-beta)."""
     beta, rho = _columns(data, min_points=3)
-    regressor = [math.exp(-b) for b in beta]
+    try:
+        regressor = [math.exp(-b) for b in beta]
+    except OverflowError:
+        raise OverflowError(
+            f"Model I regressor exp(-beta) exceeds the double range at beta={min(beta)}"
+        ) from None
     line = _line(regressor, rho)
     if line is None:
         raise SingularFit("all regressor values exp(-beta) are (nearly) identical")

@@ -35,7 +35,12 @@ def norros_mean(rho: float, hurst: float) -> float:
         math.log(rho) / (2.0 * one_minus_h)
         - (hurst / one_minus_h) * math.log1p(-rho)
     )
-    return math.exp(log_mean)
+    try:
+        return math.exp(log_mean)
+    except OverflowError:
+        raise OverflowError(
+            f"storage-model mean for rho={rho}, hurst={hurst} exceeds the double range"
+        ) from None
 
 
 def norros_rho(mean: float, hurst: float) -> float:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .distribution import QueueModel, _mean_from_sums, _zeta_shift, mean
+from .distribution import QueueModel, _mean_from_sums, _validate_q, _zeta_shift, mean
 from .errors import DegenerateStep, DomainError, NoConvergence
 from .zeta import scaled_hurwitz_zeta
 
@@ -47,8 +47,7 @@ class SolverResult:
 
 
 def _validate_target(q, A):
-    if not (math.isfinite(q) and 0.5 < q < 1.0):
-        raise DomainError(f"entropy index q must lie strictly in (1/2, 1), got {q}")
+    _validate_q(q)
     if not (math.isfinite(A) and A > 0.0):
         raise DomainError(f"target mean must be positive, got {A}")
 

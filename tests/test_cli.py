@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import tsqueue
+import tsqueue.cli as cli
 from tsqueue.cli import (
     FigureSpec,
     figure_dataset,
@@ -131,6 +132,13 @@ class TestSolverAndNorrosCommands:
         payload = run_json(capsys, "norros-rho", "--mean", "2", "--hurst", "0.75")
         assert payload["value"] == pytest.approx(0.5, abs=1e-10)
 
+    def test_norros_mean_overflow_names_its_inputs(self, capsys):
+        code, out, err = run(capsys, "norros-mean", "--rho", "0.999999999999",
+                             "--hurst", "0.99")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "rho=0.999999999999, hurst=0.99" in err
+
     def test_composition_reproduces_generate_row(self, capsys, tmp_path):
         solved = run_json(capsys, "solve-beta", "--q", "0.75", "--mean", "2")
         rho = run_json(capsys, "norros-rho", "--mean", "2", "--hurst", "0.75")
@@ -199,6 +207,14 @@ class TestGenerateAndFit:
         code, _, err = run(capsys, "fit", "--model", "I", "--in", str(bad))
         assert code == 4
         assert "line 3" in err
+
+    def test_model_i_overflow_names_the_beta(self, capsys, tmp_path):
+        data = tmp_path / "negative.csv"
+        data.write_text("mean,beta,rho,q\n1,-800,0.5,0.6\n1,1,0.4,0.6\n1,2,0.3,0.6\n")
+        code, out, err = run(capsys, "fit", "--model", "I", "--in", str(data))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "beta=-800.0" in err
 
     def test_missing_file_exit_four(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fit", "--model", "I", "--in", str(tmp_path / "nope.csv"))
@@ -388,3 +404,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["pmf", "--q", "0.75"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv,first_line", [
+        (["generate", "--q", "0.6", "--points", "2"], "mean,beta,rho,q"),
+        (["--format", "json", "generate", "--q", "0.6", "--points", "2"], '{"records": ['),
+        (["--format", "json", "zeta", "2", "1", "--format", "csv"], "s,a,value"),
+        (["--format", "csv", "zeta", "2", "1"], "s,a,value"),
+    ])
+    def test_format_before_or_after_the_command(self, capsys, argv, first_line):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith(first_line)
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+        cli._parser.cache_clear()
+        try:
+            assert main(["zeta", "2", "1"]) == 0
+            assert main(["pmf", "--q", "0.75", "--beta", "1", "--i", "0"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
