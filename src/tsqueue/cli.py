@@ -19,7 +19,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -61,7 +61,7 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_BAD_INPUT = 4
 
-CSV_HEADER = ["mean", "beta", "rho", "q"]
+CSV_HEADER = [field.name for field in fields(CorrespondenceRecord)]
 
 _DEFAULT_THRESHOLDS = (10, 100, 1000)
 
@@ -186,7 +186,7 @@ def _write_output(out, text):
 # ---------------------------------------------------------------- CSV I/O
 
 def _correspondence(records):
-    return CSV_HEADER, [(r.mean, r.beta, r.rho, r.q) for r in records]
+    return CSV_HEADER, [astuple(r) for r in records]
 
 
 def format_correspondence_csv(records) -> str:
@@ -195,37 +195,29 @@ def format_correspondence_csv(records) -> str:
 
 def parse_correspondence_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
+    layout = ",".join(CSV_HEADER)
     if not rows:
-        raise InputFormatError(
-            "line 1: empty file (expected header mean,beta,rho,q)", line=1
-        )
+        raise InputFormatError(f"line 1: empty file (expected header {layout})")
     if rows[0] != CSV_HEADER:
-        raise InputFormatError(
-            f"line 1: expected header mean,beta,rho,q, got {','.join(rows[0])}",
-            line=1,
-        )
+        raise InputFormatError(f"line 1: expected header {layout}, got {','.join(rows[0])}")
     records = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
+        if len(row) != len(CSV_HEADER):
             raise InputFormatError(
-                f"line {lineno}: expected 4 fields, got {len(row)}", line=lineno
+                f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}"
             )
         values = []
         for field in row:
             try:
                 value = float(field)
             except ValueError:
-                raise InputFormatError(
-                    f"line {lineno}: invalid number {field!r}", line=lineno
-                ) from None
+                raise InputFormatError(f"line {lineno}: invalid number {field!r}") from None
             if not math.isfinite(value):
-                raise InputFormatError(
-                    f"line {lineno}: non-finite value {field!r}", line=lineno
-                )
+                raise InputFormatError(f"line {lineno}: non-finite value {field!r}")
             values.append(value)
         records.append(CorrespondenceRecord(*values))
     if not records:
-        raise InputFormatError("line 2: no data rows", line=2)
+        raise InputFormatError("line 2: no data rows")
     return records
 
 
@@ -233,7 +225,7 @@ def read_correspondence_csv(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputFormatError(f"line 1: cannot read {path}: {exc}", line=1) from exc
+        raise InputFormatError(f"line 1: cannot read {path}: {exc}") from exc
     return parse_correspondence_csv(text)
 
 

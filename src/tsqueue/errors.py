@@ -34,8 +34,4 @@ class SingularFit(ValueError):
 
 
 class InputFormatError(ValueError):
-    """An input file is malformed; ``line`` points at the offending row."""
-
-    def __init__(self, message, *, line=None):
-        super().__init__(message)
-        self.line = line
+    """An input file is malformed; the message starts with the offending line."""

@@ -130,15 +130,20 @@ def _goodness(rho, ss_res):
     return rmse, r_squared
 
 
+def _model_i_regressor(beta):
+    """exp(-beta), or an OverflowError that names beta."""
+    try:
+        return math.exp(-beta)
+    except OverflowError:
+        raise OverflowError(
+            f"Model I regressor exp(-beta) exceeds the double range at beta={beta}"
+        ) from None
+
+
 def fit_model_i(data) -> FitReport:
     """Exact least-squares fit of rho = a + b exp(-beta)."""
     beta, rho = _columns(data, min_points=3)
-    try:
-        regressor = [math.exp(-b) for b in beta]
-    except OverflowError:
-        raise OverflowError(
-            f"Model I regressor exp(-beta) exceeds the double range at beta={min(beta)}"
-        ) from None
+    regressor = [_model_i_regressor(b) for b in beta]
     line = _line(regressor, rho)
     if line is None:
         raise SingularFit("all regressor values exp(-beta) are (nearly) identical")
@@ -227,7 +232,7 @@ def _gauss_newton(theta, beta, rho):
     residuals, sse, parts = evaluate(theta)
     if not math.isfinite(sse):
         return False, math.inf, theta.tolist(), 1
-    best_sse, best_theta = sse, theta.copy()
+    # A step is taken only if it does not raise the SSE: theta is the best point.
     for iteration in range(1, _MAX_GN_ITER + 1):
         power, decay, eta, mu = parts
         jac = np.column_stack([
@@ -235,21 +240,17 @@ def _gauss_newton(theta, beta, rho):
         ])
         gradient = jac.T @ residuals
         rmse = math.sqrt(sse / n)
-        if sse < best_sse:
-            best_sse, best_theta = sse, theta.copy()
         if np.max(np.abs(gradient)) <= _GRADIENT_TOL * (1.0 + rmse):
             return True, sse, theta.tolist(), iteration
         jtj = jac.T @ jac
         damping = np.diag(np.clip(np.diag(jtj), 1e-12, None))
         try:
             delta = np.linalg.solve(jtj + lam * damping, gradient)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            if lam > 1e14:
-                return False, best_sse, best_theta.tolist(), iteration
-            continue
-        trial = _clamp_theta(theta + delta)
-        trial_res, trial_sse, trial_parts = evaluate(trial)
+        except np.linalg.LinAlgError:  # no step: rejected like a bad one
+            trial_sse = math.inf
+        else:
+            trial = _clamp_theta(theta + delta)
+            trial_res, trial_sse, trial_parts = evaluate(trial)
         if math.isfinite(trial_sse) and trial_sse <= sse:
             step_small = np.max(np.abs(trial - theta)) <= 1e-15 * (
                 1.0 + np.max(np.abs(theta))
@@ -261,8 +262,8 @@ def _gauss_newton(theta, beta, rho):
         else:
             lam *= 10.0
             if lam > 1e14:
-                return False, best_sse, best_theta.tolist(), iteration
-    return False, best_sse, best_theta.tolist(), _MAX_GN_ITER
+                return False, sse, theta.tolist(), iteration
+    return False, sse, theta.tolist(), _MAX_GN_ITER
 
 
 def fit_model_ii(data) -> FitReport:
@@ -302,7 +303,7 @@ def evaluate_fit(report: FitReport, beta: float) -> float:
         raise DomainError(f"beta must be finite, got {beta}")
     if report.model_kind == "I":
         a, b = report.params
-        return a + b * math.exp(-beta)
+        return a + b * _model_i_regressor(beta)
     if report.model_kind == "II":
         if beta <= 0.0:
             raise DomainError(f"Model II prediction requires beta > 0, got {beta}")

@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .distribution import QueueModel, _mean_from_sums, _validate_q, _zeta_shift, mean
+from .distribution import QueueModel, _mean_from_sums, _validate_q, _zeta_shift
 from .errors import DegenerateStep, DomainError, NoConvergence
 from .zeta import scaled_hurwitz_zeta
 
-__all__ = ["SolverConfig", "SolverResult", "mean_residual", "newton_step", "solve_beta"]
+__all__ = ["SolverConfig", "SolverResult", "newton_step", "solve_beta"]
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,6 @@ def _newton_increment(q, beta, A, s, c, s0, s1):
         )
     numerator = s1 - (1.0 + r) * s0
     return beta * (1.0 - q) * numerator / denominator
-
-
-def mean_residual(q: float, beta: float, A: float) -> float:
-    """mean(q, beta) - A: strictly decreasing in beta, zero at the root."""
-    _validate_target(q, A)
-    return mean(QueueModel(q, beta)) - A
 
 
 def newton_step(q: float, beta: float, A: float) -> float:

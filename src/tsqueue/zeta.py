@@ -16,12 +16,14 @@ remainder bound for this completely monotone summand) stays below 1e-15
 of the accumulated sum, which keeps the total relative error near 1e-14
 over the supported range.
 
-Values of S are cached by (s, a).  What an evaluation needs of s alone (the
-13 logarithms of the B14 bound's rising product, s + 14, s - 1 and the
-factors of the Bernoulli terms' rising product) is cached by s in a
-smaller cache, because a solve or a figure evaluates one exponent at many
-shifts a.  Both caches only skip repeated work: every value is computed by
-the same floating-point operations, in the same order, as without them.
+The last 1,024 values of S are cached by (s, a): one qos_report reads its
+few sums more than once, and a figure row reads again the last sums of
+the solve behind its beta.  What an evaluation needs of s alone (the B14
+bound's 13 logarithms, s + 14, s - 1 and the Bernoulli terms' rising
+factors) is cached by s, as a solve or a figure evaluates one exponent at
+many shifts a.  Both caches only skip repeated work: every value is
+computed by the same floating-point operations, in the same order, as
+without them.
 """
 
 import math
@@ -51,7 +53,6 @@ _LOG_REL_TARGET = math.log(1e-15)
 _TWO_PI = 2.0 * math.pi
 
 _MIN_NORMAL = sys.float_info.min
-_MAX_DOUBLE = sys.float_info.max
 
 
 def _validate(s, a):
@@ -79,7 +80,7 @@ def _exponent_terms(s):
     return _LOG_B14_COEF + rising13_log, s + 14.0, s - 1.0, rising_factors
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 10)
 def _scaled_sum(s, a):
     bound_base, s14, s_minus_1, rising_factors = _exponent_terms(s)
     log, log1p, exp = math.log, math.log1p, math.exp
@@ -145,16 +146,12 @@ def hurwitz_zeta(s: float, a: float) -> float:
     s, a = float(s), float(a)
     _validate(s, a)
     ssum = _scaled_sum(s, a)
-    if a == 1.0:
-        return ssum
     try:
         prefactor = a ** (-s)
     except OverflowError:
-        raise OverflowError(
-            f"zeta({s}, {a}) exceeds the double range; use log_hurwitz_zeta"
-        ) from None
+        prefactor = math.inf
     value = prefactor * ssum
-    if not math.isfinite(value) or value > _MAX_DOUBLE:
+    if not math.isfinite(value):
         raise OverflowError(
             f"zeta({s}, {a}) exceeds the double range; use log_hurwitz_zeta"
         )

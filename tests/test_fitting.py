@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from tsqueue import fitting
 from tsqueue.distribution import QueueModel, mean
 from tsqueue.errors import DomainError, SingularFit
 from tsqueue.fitting import (
@@ -178,6 +180,23 @@ class TestModelII:
                 perturbed[index] *= 1.0 + 0.01 * sign
                 assert model_ii_rmse(perturbed, beta, rho) > base
 
+    def test_budget_exit_reports_the_last_accepted_step(self, monkeypatch):
+        # One iteration, whose step is taken: the run must end at that step's
+        # point and SSE, not at the start's.
+        beta = 0.05 * 1.1 ** np.arange(60)
+        rho = 0.1 * beta**-0.3 + 0.6 * np.exp(-1.5 * beta)
+        start = fitting._model_ii_starts(list(beta), list(rho))[0]
+        monkeypatch.setattr(fitting, "_MAX_GN_ITER", 1)
+        converged, sse, theta, iterations = fitting._gauss_newton(start, beta, rho)
+        assert (converged, iterations) == (False, 1)
+
+        def rmse_at(theta):
+            c, log_eta, d, log_mu = theta
+            return model_ii_rmse((c, math.exp(log_eta), d, math.exp(log_mu)), beta, rho)
+
+        assert math.sqrt(sse / len(beta)) == pytest.approx(rmse_at(theta), rel=1e-9)
+        assert rmse_at(theta) < rmse_at(start)
+
     def test_rejects_nonpositive_beta(self):
         beta = np.linspace(0.0, 4.0, 9)
         rho = np.exp(-beta)
@@ -196,6 +215,12 @@ class TestEvaluateFit:
         rho = 0.2 + 0.5 * np.exp(-beta)
         report = fit_model_i(list(zip(beta, rho)))
         assert evaluate_fit(report, 0.0) == pytest.approx(0.7, abs=1e-10)
+
+    def test_model_i_overflow_names_the_beta(self):
+        report = fit_model_i([(1, 0.4), (2, 0.3), (3, 0.25)])
+        message = "Model I regressor exp(-beta) exceeds the double range at beta=-800.0"
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            evaluate_fit(report, -800)
 
     def test_model_ii_direct_arithmetic(self):
         beta = np.geomspace(0.05, 10.0, 50)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tsqueue.distribution import QueueModel, mean
 from tsqueue.errors import DomainError, NoConvergence
-from tsqueue.solver import SolverConfig, mean_residual, newton_step, solve_beta
+from tsqueue.solver import SolverConfig, newton_step, solve_beta
 
 import oracles
 
@@ -16,26 +16,6 @@ BETA_GRID = [0.1, 0.5, 1.0, 2.0, 5.0]
 
 def rel(actual, expected):
     return abs(actual - expected) / abs(expected)
-
-
-class TestMeanResidual:
-    @pytest.mark.parametrize("q,beta", [(0.75, 1.0), (0.6, 0.5), (0.9, 2.0)])
-    def test_zero_at_root(self, q, beta):
-        target = mean(QueueModel(q, beta))
-        assert mean_residual(q, beta, target) == 0.0
-
-    def test_frozen_root(self):
-        assert abs(mean_residual(0.75, 1.0, oracles.MEAN_075_1)) <= 1e-8
-
-    def test_sign_structure(self):
-        target = mean(QueueModel(0.75, 1.0))
-        assert mean_residual(0.75, 0.5, target) > 0.0  # below the root
-        assert mean_residual(0.75, 2.0, target) < 0.0  # above the root
-
-    @pytest.mark.parametrize("q,beta,A", [(0.4, 1.0, 1.0), (0.75, -1.0, 1.0), (0.75, 1.0, 0.0)])
-    def test_domain_errors(self, q, beta, A):
-        with pytest.raises(DomainError):
-            mean_residual(q, beta, A)
 
 
 class TestNewtonStep:
@@ -134,15 +114,12 @@ class TestSolveBeta:
         with pytest.raises(DomainError, match="zeta shift"):
             solve_beta(0.75, 2.0, SolverConfig(beta0=5e-324))
         with pytest.raises(DomainError, match="zeta shift"):
-            mean_residual(0.75, 5e-324, 2.0)
-        with pytest.raises(DomainError, match="zeta shift"):
             newton_step(0.75, 1e-308, 2.0)
 
     def test_rejects_bad_targets(self):
-        with pytest.raises(DomainError):
-            solve_beta(0.75, -1.0)
-        with pytest.raises(DomainError):
-            solve_beta(1.1, 1.0)
+        for q, A in [(0.75, -1.0), (0.75, 0.0), (1.1, 1.0), (0.4, 1.0)]:
+            with pytest.raises(DomainError):
+                solve_beta(q, A)
 
 
 class TestSolverConfig:

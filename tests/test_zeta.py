@@ -108,6 +108,11 @@ class TestScaledSum:
         s, a = 4.0, 4.0
         assert rel(scaled_hurwitz_zeta(s, a), a**s * hurwitz_zeta(s, a)) <= 1e-12
 
+    @pytest.mark.parametrize("s", [2.0, 3.5, 1e3])
+    def test_unit_shift_is_unscaled(self, s):
+        # a**s == 1 at a = 1, so both forms are the same double
+        assert hurwitz_zeta(s, 1.0) == scaled_hurwitz_zeta(s, 1.0)
+
 
 class TestDomainAndRange:
     @pytest.mark.parametrize("s,a", [(1.0, 1.0), (0.5, 1.0), (-2.0, 1.0)])
