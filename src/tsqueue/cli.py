@@ -51,7 +51,7 @@ from .fitting import (
     generate_correspondence,
 )
 from .norros import norros_mean, norros_rho
-from .solver import SolverConfig, solve_beta
+from .solver import _MAX_ITER, _TOL, solve_beta
 from .zeta import hurwitz_zeta
 
 __all__ = ["main", "build_parser", "FigureSpec"]
@@ -117,6 +117,8 @@ class FigureSpec:
             raise DomainError("thresholds must not be empty")
         if any(x < 0 for x in self.thresholds):
             raise DomainError(f"thresholds must be nonnegative, got {self.thresholds}")
+        if self.figure_id == 3 and any(q <= 2.0 / 3.0 for q in self.q_list):
+            raise DomainError("figure 3 plots the variance, which requires every q > 2/3")
 
 
 def _fmt(value) -> str:
@@ -270,8 +272,8 @@ def _cmd_metrics(args):
 
 
 def _cmd_solve_beta(args):
-    config = SolverConfig(beta0=args.beta0, tol=args.tol, max_iter=args.max_iter)
-    result = solve_beta(args.q, args.mean, config)
+    result = solve_beta(args.q, args.mean, beta0=args.beta0, tol=args.tol,
+                        max_iter=args.max_iter)
     return _Record({"q": args.q, "mean": args.mean, **asdict(result)})
 
 
@@ -302,8 +304,6 @@ def _cmd_fit(args):
 
 def figure_dataset(spec: FigureSpec):
     """Header and rows for one figure; rows grouped by q, ascending mean."""
-    if spec.figure_id == 3 and any(q <= 2.0 / 3.0 for q in spec.q_list):
-        raise DomainError("figure 3 plots the variance, which requires every q > 2/3")
     figure = _FIGURES[spec.figure_id]
     header = []
     for name in figure.columns:
@@ -398,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("solve-beta", _cmd_solve_beta, "recover beta from a target mean", [with_q])
     p.add_argument("--mean", type=float, required=True)
-    p.add_argument("--beta0", type=float, default=SolverConfig.beta0)
-    p.add_argument("--tol", type=float, default=SolverConfig.tol)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--beta0", type=float)
+    p.add_argument("--tol", type=float, default=_TOL)
+    p.add_argument("--max-iter", type=int, default=_MAX_ITER)
 
     p = command("norros-mean", _cmd_norros_mean, "storage-model mean for (rho, H)")
     p.add_argument("--rho", type=float, required=True)

@@ -12,7 +12,7 @@ q -> 1 regime (s in the thousands) stays representable.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, MomentDoesNotExist
@@ -48,10 +48,17 @@ def _validate_q(q):
 
 @dataclass(frozen=True)
 class QueueModel:
-    """Entropy index and Lagrange multiplier defining one queue-length law."""
+    """Entropy index and Lagrange multiplier defining one queue-length law.
+
+    Construction also fixes the power-law exponent s = 1/(1-q) > 2 and the
+    zeta shift c = 1/(beta*(1-q)), finite and > 0.  Equality, hash and repr
+    read (q, beta) only.
+    """
 
     q: float
     beta: float
+    s: float = field(init=False, repr=False, compare=False)
+    c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = _validate_q(self.q)
@@ -62,16 +69,8 @@ class QueueModel:
             raise DomainError(f"beta must be positive, got beta={beta}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "beta", beta)
-
-    @property
-    def s(self) -> float:
-        """Power-law exponent 1/(1-q); always > 2."""
-        return 1.0 / (1.0 - self.q)
-
-    @property
-    def c(self) -> float:
-        """Zeta shift 1/(beta*(1-q)); always > 0 and finite."""
-        return _zeta_shift(self.q, self.beta)
+        object.__setattr__(self, "s", 1.0 / (1.0 - q))
+        object.__setattr__(self, "c", _zeta_shift(q, beta))
 
 
 class TailAsymptote(NamedTuple):

@@ -16,26 +16,10 @@ from .distribution import QueueModel, _mean_from_sums, _validate_q, _zeta_shift
 from .errors import DegenerateStep, DomainError, NoConvergence
 from .zeta import scaled_hurwitz_zeta
 
-__all__ = ["SolverConfig", "SolverResult", "newton_step", "solve_beta"]
+__all__ = ["SolverResult", "newton_step", "solve_beta"]
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for solve_beta; defaults suit the whole (q, A) range."""
-
-    beta0: Optional[float] = None
-    tol: float = 1e-10
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.beta0 is not None and not (
-            math.isfinite(self.beta0) and self.beta0 > 0.0
-        ):
-            raise DomainError(f"beta0 must be positive, got {self.beta0}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise DomainError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+# solve_beta's default tol and max_iter, which suit the whole (q, A) range.
+_TOL, _MAX_ITER = 1e-10, 100
 
 
 @dataclass(frozen=True)
@@ -81,7 +65,8 @@ def newton_step(q: float, beta: float, A: float) -> float:
     return _newton_increment(q, beta, A, s, c, s0, s1)
 
 
-def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> SolverResult:
+def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float = _TOL,
+               max_iter: int = _MAX_ITER) -> SolverResult:
     """Find beta with mean(q, beta) = A to within tol * max(1, A).
 
     Newton iterates from beta0 (default ln((A+1)/A), the exact q -> 1
@@ -93,11 +78,16 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
     bracket's geometric midpoint, or twice / half its closed end while
     the other end is open, and fallback_used is set.
     """
-    cfg = config if config is not None else SolverConfig()
+    if beta0 is not None and not (math.isfinite(beta0) and beta0 > 0.0):
+        raise DomainError(f"beta0 must be positive, got {beta0}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     _validate_target(q, A)
     q, A = float(q), float(A)
     s = 1.0 / (1.0 - q)
-    target = cfg.tol * max(1.0, A)
+    target = tol * max(1.0, A)
     lo, hi = 0.0, math.inf  # residual > 0 at lo, < 0 at hi
 
     def residual(b):
@@ -115,10 +105,10 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
             hi = min(hi, b)
         return r, sums
 
-    beta = cfg.beta0 if cfg.beta0 is not None else math.log1p(1.0 / A)
+    beta = beta0 if beta0 is not None else math.log1p(1.0 / A)
     resid, sums = residual(beta)
     bisected = False
-    for iterations in range(1, cfg.max_iter + 1):
+    for iterations in range(1, max_iter + 1):
         try:
             step = _newton_increment(q, beta, A, s, *sums)
         except DegenerateStep:
@@ -139,7 +129,7 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
             step *= 0.5
             candidate = beta + step
         else:
-            if abs(resid) <= target and min(abs(newton), hi - lo) <= cfg.tol * beta:
+            if abs(resid) <= target and min(abs(newton), hi - lo) <= tol * beta:
                 return SolverResult(beta, iterations, abs(resid), bisected)
             if hi == math.inf:
                 midpoint = 2.0 * lo
@@ -158,10 +148,10 @@ def solve_beta(q: float, A: float, config: Optional[SolverConfig] = None) -> Sol
             continue
         moved = abs(candidate - beta)
         beta, resid, sums = candidate, new_resid, new_sums
-        if moved <= cfg.tol * beta and abs(resid) <= target:
+        if moved <= tol * beta and abs(resid) <= target:
             return SolverResult(beta, iterations, abs(resid), bisected)
     raise NoConvergence(
-        f"beta solve did not converge in {cfg.max_iter} iterations "
+        f"beta solve did not converge in {max_iter} iterations "
         f"(beta={beta}, residual={resid})",
-        beta=beta, residual=abs(resid), iterations=cfg.max_iter,
+        beta=beta, residual=abs(resid), iterations=max_iter,
     )

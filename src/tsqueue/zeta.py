@@ -55,15 +55,6 @@ _TWO_PI = 2.0 * math.pi
 _MIN_NORMAL = sys.float_info.min
 
 
-def _validate(s, a):
-    if not (math.isfinite(s) and math.isfinite(a)):
-        raise DomainError(f"zeta arguments must be finite, got s={s}, a={a}")
-    if s <= 1.0:
-        raise DomainError(f"zeta requires s > 1 (series diverges), got s={s}")
-    if a <= 0.0:
-        raise DomainError(f"zeta requires a > 0, got a={a}")
-
-
 @lru_cache(maxsize=1 << 10)
 def _exponent_terms(s):
     """What one Euler-Maclaurin evaluation needs of s alone.
@@ -82,6 +73,13 @@ def _exponent_terms(s):
 
 @lru_cache(maxsize=1 << 10)
 def _scaled_sum(s, a):
+    # Every zeta function enters here.  A raise is not cached: each (s, a) is checked once.
+    if not (math.isfinite(s) and math.isfinite(a)):
+        raise DomainError(f"zeta arguments must be finite, got s={s}, a={a}")
+    if s <= 1.0:
+        raise DomainError(f"zeta requires s > 1 (series diverges), got s={s}")
+    if a <= 0.0:
+        raise DomainError(f"zeta requires a > 0, got a={a}")
     bound_base, s14, s_minus_1, rising_factors = _exponent_terms(s)
     log, log1p, exp = math.log, math.log1p, math.exp
     two_pi, log_rel_target = _TWO_PI, _LOG_REL_TARGET
@@ -133,7 +131,6 @@ def scaled_hurwitz_zeta(s: float, a: float) -> float:
     are ratios of zetas, and the a**(-s) prefactors cancel exactly.
     """
     s, a = float(s), float(a)
-    _validate(s, a)
     return _scaled_sum(s, a)
 
 
@@ -144,7 +141,6 @@ def hurwitz_zeta(s: float, a: float) -> float:
     (huge s with a < 1, or deep underflow); use log_hurwitz_zeta there.
     """
     s, a = float(s), float(a)
-    _validate(s, a)
     ssum = _scaled_sum(s, a)
     try:
         prefactor = a ** (-s)
@@ -170,5 +166,4 @@ def log_hurwitz_zeta(s: float, a: float) -> float:
     factored out, so nothing underflows even at s in the millions.
     """
     s, a = float(s), float(a)
-    _validate(s, a)
     return math.log(_scaled_sum(s, a)) - s * math.log(a)

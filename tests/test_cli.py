@@ -11,6 +11,7 @@ import pytest
 
 import tsqueue
 import tsqueue.cli as cli
+from tsqueue import fitting
 from tsqueue.cli import (
     FigureSpec,
     figure_dataset,
@@ -23,6 +24,7 @@ from tsqueue.fitting import fit_model_i
 
 import oracles
 
+GENERATE_CSV = Path(__file__).parent / "golden" / "generate.csv"
 SCHEMA = json.loads(
     resources.files("tsqueue").joinpath("schemas/report.json").read_text()
 )
@@ -215,6 +217,26 @@ class TestGenerateAndFit:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "beta=-800.0" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("mean,rho,beta,q\n1,0.4,0.5,0.6\n",
+         "line 1: expected header mean,beta,rho,q, got mean,rho,beta,q"),
+        ("mean,beta,rho,q\n1,0.5,0.4\n", "line 2: expected 4 fields, got 3"),
+        ("mean,beta,rho,q\n1,inf,0.4,0.6\n", "line 2: non-finite value 'inf'"),
+        ("mean,beta,rho,q\n", "line 2: no data rows"),
+    ])
+    def test_malformed_file_exit_four(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "fit", "--model", "I", "--in", str(path))
+        assert (code, out, err) == (4, "", f"error: {message}\n")
+
+    def test_unconverged_model_ii_fit_exit_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_GN_ITER", 1)
+        code, out, err = run(capsys, "fit", "--model", "II", "--in", str(GENERATE_CSV))
+        assert (code, out) == (3, "")
+        # The rmse's last digits depend on the host's numpy kernels.
+        assert err.startswith("error: Model II fit did not converge (best rmse=")
 
     def test_missing_file_exit_four(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fit", "--model", "I", "--in", str(tmp_path / "nope.csv"))
@@ -415,6 +437,18 @@ class TestUsageErrors:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.startswith(first_line)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["figure", "--id", "4", "--q-list", "0.6,x"],
+         "expected a comma-separated list of numbers, got '0.6,x'"),
+        (["metrics", "--q", "0.75", "--beta", "1", "--tail", "1,a"],
+         "expected a comma-separated list of integers, got '1,a'"),
+        (["figure", "--id", "4", "--thresholds", "10,-1"],
+         "thresholds must be nonnegative, got (10, -1)"),
+    ])
+    def test_malformed_list_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
         built = []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -49,11 +50,17 @@ class TestQueueModel:
     @pytest.mark.parametrize("beta", [5e-324, 1e-308])
     def test_zeta_shift_overflow_is_a_domain_error(self, beta):
         # beta*(1-q) underflows to 0 at 5e-324; 1/(beta*(1-q)) overflows at 1e-308.
-        model = QueueModel(0.75, beta)
-        for use in (lambda: model.c, lambda: mean(model), lambda: pmf(model, 0),
-                    lambda: tail(model, 3), lambda: qos_report(model)):
-            with pytest.raises(DomainError, match="zeta shift"):
-                use()
+        with pytest.raises(DomainError, match="zeta shift"):
+            QueueModel(0.75, beta)
+
+    def test_value_semantics(self):
+        # s and c are derived from (q, beta): repr, equality and hash read those only.
+        assert repr(MODEL) == "QueueModel(q=0.75, beta=1.0)"
+        assert [f.name for f in dataclasses.fields(MODEL) if f.compare] == ["q", "beta"]
+        assert MODEL == QueueModel(0.75, 1) and hash(MODEL) == hash((0.75, 1.0))
+        assert MODEL != QueueModel(0.75, 2.0)
+        moved = dataclasses.replace(MODEL, beta=2.0)
+        assert (moved.q, moved.beta, moved.s, moved.c) == (0.75, 2.0, 4.0, 2.0)
 
     def test_rejects_negative_index(self):
         with pytest.raises(DomainError):

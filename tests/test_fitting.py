@@ -1,13 +1,15 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsqueue import fitting
 from tsqueue.distribution import QueueModel, mean
-from tsqueue.errors import DomainError, SingularFit
+from tsqueue.errors import DomainError, NoConvergence, SingularFit
 from tsqueue.fitting import (
+    FitReport,
     evaluate_fit,
     fit_model_i,
     fit_model_ii,
@@ -15,6 +17,9 @@ from tsqueue.fitting import (
 )
 from tsqueue.norros import norros_mean
 from tsqueue.solver import solve_beta
+
+
+GENERATE_CSV = Path(__file__).parent / "golden" / "generate.csv"
 
 
 def rel(actual, expected):
@@ -197,6 +202,20 @@ class TestModelII:
         assert math.sqrt(sse / len(beta)) == pytest.approx(rmse_at(theta), rel=1e-9)
         assert rmse_at(theta) < rmse_at(start)
 
+    def test_budget_exhausted_raises_with_its_report(self, monkeypatch):
+        rows = GENERATE_CSV.read_text().splitlines()[1:]  # mean,beta,rho,q
+        data = [tuple(map(float, row.split(",")[1:3])) for row in rows]
+        monkeypatch.setattr(fitting, "_MAX_GN_ITER", 1)
+        with pytest.raises(NoConvergence, match=r"^Model II fit did not converge") as info:
+            fit_model_ii(data)
+        assert info.value.report.converged is False
+
+    def test_non_finite_start_is_rejected_at_once(self):
+        # c * beta**-eta = 1e308 * 2 overflows at beta = 0.5: the start's SSE is inf.
+        start = [1e308, 0.0, 1e308, 0.0]
+        beta, rho = [0.5, 1.0, 2.0, 4.0, 8.0], [0.5, 0.4, 0.3, 0.2, 0.1]
+        assert fitting._gauss_newton(start, beta, rho) == (False, math.inf, start, 1)
+
     def test_rejects_nonpositive_beta(self):
         beta = np.linspace(0.0, 4.0, 9)
         rho = np.exp(-beta)
@@ -247,6 +266,20 @@ class TestEvaluateFit:
             evaluate_fit(report, 0.0)
         with pytest.raises(DomainError):
             evaluate_fit(report, -1.0)
+
+    @pytest.mark.parametrize("report,beta,message", [
+        (FitReport("I", (0.2, 0.5), 0.1, 0.9, 1, converged=False), 1.0,
+         "cannot evaluate a fit that did not converge"),
+        (FitReport("III", (0.2, 0.5), 0.1, 0.9, 1, converged=True), 1.0,
+         "unknown model kind 'III'"),
+        (FitReport("I", (0.2, 0.5), 0.1, 0.9, 1, converged=True), math.inf,
+         "beta must be finite, got inf"),
+        (FitReport("I", (0.2, 0.5), 0.1, 0.9, 1, converged=True), math.nan,
+         "beta must be finite, got nan"),
+    ])
+    def test_rejects_what_it_cannot_evaluate(self, report, beta, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            evaluate_fit(report, beta)
 
 
 class TestModelOrderingAndShape:

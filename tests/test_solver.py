@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from tsqueue.distribution import QueueModel, mean
 from tsqueue.errors import DomainError, NoConvergence
-from tsqueue.solver import SolverConfig, newton_step, solve_beta
+from tsqueue.solver import newton_step, solve_beta
 
 import oracles
 
@@ -99,20 +100,20 @@ class TestSolveBeta:
 
     def test_fallback_reaches_same_root(self):
         target = mean(QueueModel(0.75, 1.0))
-        forced = solve_beta(0.75, target, SolverConfig(beta0=1e6))
+        forced = solve_beta(0.75, target, beta0=1e6)
         assert forced.fallback_used
         assert rel(forced.beta, 1.0) <= 1e-8
 
     def test_no_convergence_reports_iterate(self):
         target = mean(QueueModel(0.75, 1.0))
         with pytest.raises(NoConvergence) as info:
-            solve_beta(0.75, target, SolverConfig(beta0=1.2, max_iter=1))
+            solve_beta(0.75, target, beta0=1.2, max_iter=1)
         assert info.value.beta is not None
         assert info.value.iterations == 1
 
     def test_subnormal_beta_is_a_domain_error(self):
         with pytest.raises(DomainError, match="zeta shift"):
-            solve_beta(0.75, 2.0, SolverConfig(beta0=5e-324))
+            solve_beta(0.75, 2.0, beta0=5e-324)
         with pytest.raises(DomainError, match="zeta shift"):
             newton_step(0.75, 1e-308, 2.0)
 
@@ -124,15 +125,18 @@ class TestSolveBeta:
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            SolverConfig(tol=0.0)
-        with pytest.raises(DomainError):
-            SolverConfig(max_iter=0)
-        with pytest.raises(DomainError):
-            SolverConfig(beta0=-1.0)
+        # The knobs are checked before the target: q = 1.1 is never reached.
+        with pytest.raises(DomainError, match="tol must be positive"):
+            solve_beta(1.1, 1.0, tol=0.0)
+        with pytest.raises(DomainError, match="max_iter must be >= 1"):
+            solve_beta(1.1, 1.0, max_iter=0)
+        with pytest.raises(DomainError, match="beta0 must be positive"):
+            solve_beta(1.1, 1.0, beta0=-1.0)
 
     def test_defaults(self):
-        config = SolverConfig()
-        assert config.tol == 1e-10
-        assert config.max_iter == 100
-        assert config.beta0 is None
+        knobs = inspect.signature(solve_beta).parameters
+        assert all(knobs[name].kind is inspect.Parameter.KEYWORD_ONLY
+                   for name in ("beta0", "tol", "max_iter"))
+        assert knobs["tol"].default == 1e-10
+        assert knobs["max_iter"].default == 100
+        assert knobs["beta0"].default is None
