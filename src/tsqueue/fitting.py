@@ -210,60 +210,70 @@ def _gauss_newton(theta, beta, rho):
     """One damped Gauss-Newton run from ``theta`` = [c, log eta, d, log mu];
     returns (converged, sse, theta, iters).  The package's only numpy code:
     per point in Python, a fit's thousands of model evaluations take about
-    four times as long."""
+    four times as long.  Most of its calls act on 4-vectors and 4x4 matrices,
+    where a numpy call's overhead outweighs its arithmetic, so theta and both
+    stopping tests stay in Python floats and the Jacobian and damping arrays
+    are allocated once."""
     import numpy as np
 
-    beta, rho = np.array(beta, dtype=float), np.array(rho, dtype=float)
-    log_beta = np.log(beta)
+    with np.errstate(all="ignore"):  # overflow and nan reject a step, quietly
+        beta, rho = np.array(beta, dtype=float), np.array(rho, dtype=float)
+        log_beta = np.log(beta)
+        n = len(beta)
+        jac = np.empty((n, 4))  # C-ordered: the matmuls' last bits depend on it
+        # Zero off the diagonal: jtj + lam * damping turns jtj's -0.0 entries
+        # into +0.0, on which the solve's last bits can depend, so the
+        # diagonal is not added into jtj in place.
+        damping = np.zeros((4, 4))
+        damping_diagonal = damping.reshape(-1)[::5]  # a writable view
 
-    def evaluate(theta):
-        c, log_eta, d, log_mu = theta
-        eta, mu = math.exp(log_eta), math.exp(log_mu)
-        with np.errstate(all="ignore"):  # inf or nan here rejects the step
+        def evaluate(theta):
+            c, log_eta, d, log_mu = theta
+            eta, mu = math.exp(log_eta), math.exp(log_mu)
             power = beta ** (-eta)
             decay = np.exp(-mu * beta)
             residuals = rho - (c * power + d * decay)
-            sse = float(residuals @ residuals)
-        return residuals, sse, (power, decay, eta, mu)
+            return residuals, float(residuals @ residuals), (power, decay, eta, mu)
 
-    theta = _clamp_theta(np.array(theta, dtype=float))
-    lam = 1e-3
-    n = len(beta)
-    residuals, sse, parts = evaluate(theta)
-    if not math.isfinite(sse):
-        return False, math.inf, theta.tolist(), 1
-    # A step is taken only if it does not raise the SSE: theta is the best point.
-    for iteration in range(1, _MAX_GN_ITER + 1):
-        power, decay, eta, mu = parts
-        jac = np.column_stack([
-            power, -theta[0] * eta * log_beta * power, decay, -theta[2] * mu * beta * decay,
-        ])
-        gradient = jac.T @ residuals
-        rmse = math.sqrt(sse / n)
-        if np.max(np.abs(gradient)) <= _GRADIENT_TOL * (1.0 + rmse):
-            return True, sse, theta.tolist(), iteration
-        jtj = jac.T @ jac
-        damping = np.diag(np.clip(np.diag(jtj), 1e-12, None))
-        try:
-            delta = np.linalg.solve(jtj + lam * damping, gradient)
-        except np.linalg.LinAlgError:  # no step: rejected like a bad one
-            trial_sse = math.inf
-        else:
-            trial = _clamp_theta(theta + delta)
-            trial_res, trial_sse, trial_parts = evaluate(trial)
-        if math.isfinite(trial_sse) and trial_sse <= sse:
-            step_small = np.max(np.abs(trial - theta)) <= 1e-15 * (
-                1.0 + np.max(np.abs(theta))
-            )
-            theta, parts, residuals, sse = trial, trial_parts, trial_res, trial_sse
-            lam = max(lam * 0.1, 1e-14)
-            if step_small:
-                return True, sse, theta.tolist(), iteration
-        else:
-            lam *= 10.0
-            if lam > 1e14:
-                return False, sse, theta.tolist(), iteration
-    return False, sse, theta.tolist(), _MAX_GN_ITER
+        theta = _clamp_theta([float(t) for t in theta])
+        lam = 1e-3
+        residuals, sse, parts = evaluate(theta)
+        if not math.isfinite(sse):
+            return False, math.inf, theta, 1
+        # A step is taken only if it does not raise the SSE: theta is the best
+        # point.  Each stopping test reads "every |x_i| <= bound", so a nan
+        # never passes.
+        for iteration in range(1, _MAX_GN_ITER + 1):
+            power, decay, eta, mu = parts
+            jac[:, 0] = power
+            jac[:, 1] = -theta[0] * eta * log_beta * power
+            jac[:, 2] = decay
+            jac[:, 3] = -theta[2] * mu * beta * decay
+            gradient = jac.T @ residuals
+            bound = _GRADIENT_TOL * (1.0 + math.sqrt(sse / n))
+            if all(abs(g) <= bound for g in gradient.tolist()):
+                return True, sse, theta, iteration
+            jtj = jac.T @ jac
+            np.maximum(jtj.diagonal(), 1e-12, out=damping_diagonal)
+            try:
+                delta = np.linalg.solve(jtj + lam * damping, gradient)
+            except np.linalg.LinAlgError:  # no step: rejected like a bad one
+                trial_sse = math.inf
+            else:
+                trial = _clamp_theta([t + s for t, s in zip(theta, delta.tolist())])
+                trial_res, trial_sse, trial_parts = evaluate(trial)
+            if math.isfinite(trial_sse) and trial_sse <= sse:
+                bound = 1e-15 * (1.0 + max(map(abs, theta)))
+                step_small = all(abs(a - b) <= bound for a, b in zip(trial, theta))
+                theta, parts, residuals, sse = trial, trial_parts, trial_res, trial_sse
+                lam = max(lam * 0.1, 1e-14)
+                if step_small:
+                    return True, sse, theta, iteration
+            else:
+                lam *= 10.0
+                if lam > 1e14:
+                    return False, sse, theta, iteration
+        return False, sse, theta, _MAX_GN_ITER
 
 
 def fit_model_ii(data) -> FitReport:

@@ -9,6 +9,7 @@ bracket.  Newton and bisection share one loop and one iteration budget.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +29,15 @@ class SolverResult:
     iterations: int
     residual: float
     fallback_used: bool
+
+
+def _validate_positive(name, value):
+    try:
+        valid = math.isfinite(value) and value > 0.0
+    except TypeError:
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    if not valid:
+        raise DomainError(f"{name} must be positive, got {value}")
 
 
 def _validate_target(q, A):
@@ -78,10 +88,13 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
     bracket's geometric midpoint, or twice / half its closed end while
     the other end is open, and fallback_used is set.
     """
-    if beta0 is not None and not (math.isfinite(beta0) and beta0 > 0.0):
-        raise DomainError(f"beta0 must be positive, got {beta0}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
+    if beta0 is not None:
+        _validate_positive("beta0", beta0)
+    _validate_positive("tol", tol)
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise DomainError(f"max_iter must be an integer, got {max_iter!r}") from None
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     _validate_target(q, A)

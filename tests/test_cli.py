@@ -224,6 +224,11 @@ class TestGenerateAndFit:
         ("mean,beta,rho,q\n1,0.5,0.4\n", "line 2: expected 4 fields, got 3"),
         ("mean,beta,rho,q\n1,inf,0.4,0.6\n", "line 2: non-finite value 'inf'"),
         ("mean,beta,rho,q\n", "line 2: no data rows"),
+        ("mean,beta,rho,q\n1,nan,0.4,0.6\n", "line 2: non-finite value 'nan'"),
+        ("mean,beta,rho,q\n1,oops,inf,0.6\n", "line 2: invalid number 'oops'"),
+        ("mean,beta,rho,q\n1,oops,0.4,0.6,7\n", "line 2: expected 4 fields, got 5"),
+        ("mean,beta,rho,q\n1,-inf,x\n", "line 2: expected 4 fields, got 3"),
+        ("mean,beta,rho,q\n1,0.5,0.4,0.6\n\n", "line 3: expected 4 fields, got 0"),
     ])
     def test_malformed_file_exit_four(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.csv"

@@ -216,6 +216,18 @@ class TestModelII:
         beta, rho = [0.5, 1.0, 2.0, 4.0, 8.0], [0.5, 0.4, 0.3, 0.2, 0.1]
         assert fitting._gauss_newton(start, beta, rho) == (False, math.inf, start, 1)
 
+    def test_overflowing_jacobian_warns_nothing(self):
+        # The start's SSE is finite (beta**-eta is 0 for beta > 1), but
+        # -c * eta = -1e300 * e**50 overflows and the Jacobian holds nan:
+        # every step is rejected, and with warnings as errors nothing raises.
+        start = [1e300, 50.0, 1.0, 0.0]
+        beta = [1.5 + 0.1 * i for i in range(20)]
+        rho = [0.3 * b**-0.4 for b in beta]
+        converged, sse, theta, _ = fitting._gauss_newton(start, beta, rho)
+        assert converged is False
+        assert theta == start
+        assert math.isfinite(sse)  # its last bits depend on the host's numpy
+
     def test_rejects_nonpositive_beta(self):
         beta = np.linspace(0.0, 4.0, 9)
         rho = np.exp(-beta)

@@ -132,6 +132,12 @@ class TestSolverConfig:
             solve_beta(1.1, 1.0, max_iter=0)
         with pytest.raises(DomainError, match="beta0 must be positive"):
             solve_beta(1.1, 1.0, beta0=-1.0)
+        with pytest.raises(DomainError, match="max_iter must be an integer, got 2.5"):
+            solve_beta(1.1, 1.0, max_iter=2.5)
+        with pytest.raises(DomainError, match="tol must be a real number, got '1e-8'"):
+            solve_beta(1.1, 1.0, tol="1e-8")
+        with pytest.raises(DomainError, match="beta0 must be a real number, got '1'"):
+            solve_beta(1.1, 1.0, beta0="1")
 
     def test_defaults(self):
         knobs = inspect.signature(solve_beta).parameters
