@@ -9,11 +9,12 @@ Two fit families are provided for rho as a function of beta:
 
     Model I   rho = a + b * exp(-beta)                (linear least squares)
     Model II  rho = c * beta**(-eta) + d * exp(-mu*beta)
-              (damped Gauss-Newton, analytic Jacobian, eta and mu kept
-               positive through a log reparameterization)
+              (variable projection: c, d by least squares at each (eta, mu),
+               damped Gauss-Newton on log eta and log mu)
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .distribution import _validate_q
@@ -32,7 +33,7 @@ __all__ = [
 
 # The default mean grid: _POINTS means log-spaced from _MEAN_MIN to _MEAN_MAX.
 _MEAN_MIN, _MEAN_MAX, _POINTS = 0.1, 100.0, 50
-_GRADIENT_TOL = 1e-8
+_GRADIENT_TOL = 1e-10
 _MAX_GN_ITER = 500
 
 
@@ -159,129 +160,129 @@ _LOG_BOUND = 50.0
 
 
 def _model_ii_starts(beta, rho):
-    """Deterministic start points; each term's parameters come from the
-    regime where that term dominates, plus a Model-I-like start so the
+    """Deterministic (log eta, log mu) start points; each rate comes from the
+    regime where its term dominates, plus a near-constant power term so the
     optimizer can reach nearly-pure-exponential solutions."""
     b_sorted, r_sorted = zip(*sorted(zip(beta, rho)))
     half = max(len(b_sorted) // 2, 2)
     low = [(b, r) for b, r in zip(b_sorted[:half], r_sorted[:half]) if r > 0.0]
     high = [(b, r) for b, r in zip(b_sorted[-half:], r_sorted[-half:]) if r > 0.0]
-    rho_scale = max(max(abs(r) for r in r_sorted), 1e-6)
 
-    # decay rate and amplitude from ln rho vs beta on the low-beta half
-    d0, mu0 = rho_scale, 1.0
+    # decay rate from ln rho vs beta on the low-beta half
+    mu0 = 1.0
     line = _line([b for b, _ in low], [math.log(r) for _, r in low])
-    if line is not None:
-        intercept, slope = line
-        if math.isfinite(slope) and slope < 0.0:
-            mu0 = min(max(-slope, 1e-2), 1e2)
-        if math.isfinite(intercept):
-            d0 = math.exp(min(max(intercept, -30.0), 30.0))
+    if line is not None and math.isfinite(line[1]) and line[1] < 0.0:
+        mu0 = min(max(-line[1], 1e-2), 1e2)
 
-    # power-law amplitude and exponent from ln rho vs ln beta on the
-    # high-beta half
-    c0, eta0 = 1e-3 * rho_scale, 1.0
+    # power-law exponent from ln rho vs ln beta on the high-beta half
+    eta0 = 1.0
     line = _line([math.log(b) for b, _ in high], [math.log(r) for _, r in high])
-    if line is not None:
-        intercept, slope = line
-        if math.isfinite(slope):
-            eta0 = min(max(-slope, 1e-2), 1e2)
-        if math.isfinite(intercept):
-            c0 = math.exp(min(max(intercept, -30.0), 30.0))
-
-    # Model-I-like start: constant-ish power term plus unit-rate decay
-    line = _line([math.exp(-b) for b in b_sorted], r_sorted)
-    a_full, b_full = (0.0, rho_scale) if line is None else line
+    if line is not None and math.isfinite(line[1]):
+        eta0 = min(max(-line[1], 1e-2), 1e2)
 
     return [
-        [c0, math.log(eta0), d0, 0.0],
-        [c0, math.log(eta0), d0, math.log(mu0)],
-        [a_full, math.log(1e-2), max(b_full, 1e-3 * rho_scale), math.log(mu0)],
+        (math.log(eta0), 0.0),
+        (math.log(eta0), math.log(mu0)),
+        (math.log(1e-2), math.log(mu0)),
     ]
 
 
-def _clamp_theta(theta):
-    theta[1] = min(max(theta[1], -_LOG_BOUND), _LOG_BOUND)
-    theta[3] = min(max(theta[3], -_LOG_BOUND), _LOG_BOUND)
-    return theta
+def _clamp(log_rate):
+    return min(max(log_rate, -_LOG_BOUND), _LOG_BOUND)
 
 
-def _gauss_newton(theta, beta, rho):
-    """One damped Gauss-Newton run from ``theta`` = [c, log eta, d, log mu];
-    returns (converged, sse, theta, iters).  The package's only numpy code:
-    per point in Python, a fit's thousands of model evaluations take about
-    four times as long.  Most of its calls act on 4-vectors and 4x4 matrices,
-    where a numpy call's overhead outweighs its arithmetic, so theta and both
-    stopping tests stay in Python floats and the Jacobian and damping arrays
-    are allocated once."""
+def _variable_projection(start, beta, rho):
+    """One damped Gauss-Newton run on (log eta, log mu) from ``start``, with
+    (c, d) projected out (Golub & Pereyra 1973, Kaufman's Jacobian 1975);
+    returns (converged, sse, (c, eta, d, mu), iters).  The package's only
+    numpy code: numpy forms the per-point vectors and their sums, and the
+    2x2 solves and stopping tests run in Python floats.  Every scale in the
+    loop is relative to rho's, so a fit of k * rho stops where one of rho
+    does."""
     import numpy as np
 
     with np.errstate(all="ignore"):  # overflow and nan reject a step, quietly
-        beta, rho = np.array(beta, dtype=float), np.array(rho, dtype=float)
-        log_beta = np.log(beta)
-        n = len(beta)
-        jac = np.empty((n, 4))  # C-ordered: the matmuls' last bits depend on it
-        # Zero off the diagonal: jtj + lam * damping turns jtj's -0.0 entries
-        # into +0.0, on which the solve's last bits can depend, so the
-        # diagonal is not added into jtj in place.
-        damping = np.zeros((4, 4))
-        damping_diagonal = damping.reshape(-1)[::5]  # a writable view
+        rho = np.array(rho, dtype=float)
+        log_beta_beta = np.array([np.log(beta), beta])
+        # J^T J and the gradient scale as rho**2, and so do the damping floor
+        # and the gradient bound; capped so that they stay finite
+        rho_squared = min(float(rho @ rho) / len(rho), sys.float_info.max)
+        floor, tolerance = 1e-12 * rho_squared, _GRADIENT_TOL * rho_squared
+        # Rows: rho, p = beta**-eta, e = exp(-mu beta), the residuals, and the
+        # model's derivatives in log eta and log mu.  One table holds the
+        # current point, the other a trial.
+        table, trial_table = np.empty((2, 6, len(rho)))
+        table[0] = trial_table[0] = rho
 
-        def evaluate(theta):
-            c, log_eta, d, log_mu = theta
-            eta, mu = math.exp(log_eta), math.exp(log_mu)
-            power = beta ** (-eta)
-            decay = np.exp(-mu * beta)
-            residuals = rho - (c * power + d * decay)
-            return residuals, float(residuals @ residuals), (power, decay, eta, mu)
+        def evaluate(theta, rows):
+            """SSE, (c, eta, d, mu) and (p.p, p.e, e.e, det) at ``theta``,
+            with (c, d) from the normal equations of (p, e)."""
+            eta, mu = math.exp(theta[0]), math.exp(theta[1])
+            np.exp(np.array([[-eta], [-mu]]) * log_beta_beta, out=rows[1:3])
+            (pr, pp, pe), (er, _, ee) = (rows[1:3] @ rows[:3].T).tolist()
+            det = pp * ee - pe * pe
+            try:
+                c, d = (ee * pr - pe * er) / det, (pp * er - pe * pr) / det
+            except ZeroDivisionError:  # p and e are parallel, or both vanish
+                c = d = math.nan
+            np.subtract(rho, c * rows[1] + d * rows[2], out=rows[3])
+            return float(rows[3] @ rows[3]), (c, eta, d, mu), (pp, pe, ee, det)
 
-        theta = _clamp_theta([float(t) for t in theta])
-        lam = 1e-3
-        residuals, sse, parts = evaluate(theta)
+        theta = (_clamp(start[0]), _clamp(start[1]))
+        lam, moved = 1e-3, True
+        sse, params, (pp, pe, ee, det) = evaluate(theta, table)
         if not math.isfinite(sse):
-            return False, math.inf, theta, 1
+            return False, math.inf, params, 1
         # A step is taken only if it does not raise the SSE: theta is the best
         # point.  Each stopping test reads "every |x_i| <= bound", so a nan
         # never passes.
         for iteration in range(1, _MAX_GN_ITER + 1):
-            power, decay, eta, mu = parts
-            jac[:, 0] = power
-            jac[:, 1] = -theta[0] * eta * log_beta * power
-            jac[:, 2] = decay
-            jac[:, 3] = -theta[2] * mu * beta * decay
-            gradient = jac.T @ residuals
-            bound = _GRADIENT_TOL * (1.0 + math.sqrt(sse / n))
-            if all(abs(g) <= bound for g in gradient.tolist()):
-                return True, sse, theta, iteration
-            jtj = jac.T @ jac
-            np.maximum(jtj.diagonal(), 1e-12, out=damping_diagonal)
+            if moved:  # Kaufman: the derivatives less their projections on (p, e)
+                c, eta, d, mu = params
+                slopes = np.array([[-c * eta], [-d * mu]]) * log_beta_beta
+                np.multiply(slopes, table[1:3], out=table[4:])
+                # each derivative's products with p, e, the residuals and both
+                sums = (table[4:] @ table[1:].T).tolist()
+                (p1, e1, g1, h11, h12), (p2, e2, g2, _, h22) = sums
+                j11 = h11 - (ee * p1 * p1 - 2.0 * pe * p1 * e1 + pp * e1 * e1) / det
+                j12 = h12 - (ee * p1 * p2 - pe * (p1 * e2 + e1 * p2) + pp * e1 * e2) / det
+                j22 = h22 - (ee * p2 * p2 - 2.0 * pe * p2 * e2 + pp * e2 * e2) / det
+            if abs(g1) <= tolerance and abs(g2) <= tolerance:
+                return True, sse, params, iteration
+            m11, m22 = j11 + lam * max(j11, floor), j22 + lam * max(j22, floor)
+            # by elimination: a determinant would multiply four powers of rho
             try:
-                delta = np.linalg.solve(jtj + lam * damping, gradient)
-            except np.linalg.LinAlgError:  # no step: rejected like a bad one
+                ratio = j12 / m11
+                step2 = (g2 - ratio * g1) / (m22 - ratio * j12)
+                step1 = (g1 - j12 * step2) / m11
+            except ZeroDivisionError:  # no step: rejected like a bad one
                 trial_sse = math.inf
             else:
-                trial = _clamp_theta([t + s for t, s in zip(theta, delta.tolist())])
-                trial_res, trial_sse, trial_parts = evaluate(trial)
-            if math.isfinite(trial_sse) and trial_sse <= sse:
+                trial = (_clamp(theta[0] + step1), _clamp(theta[1] + step2))
+                trial_sse, trial_params, trial_gram = evaluate(trial, trial_table)
+            moved = math.isfinite(trial_sse) and trial_sse <= sse
+            if moved:
                 bound = 1e-15 * (1.0 + max(map(abs, theta)))
-                step_small = all(abs(a - b) <= bound for a, b in zip(trial, theta))
-                theta, parts, residuals, sse = trial, trial_parts, trial_res, trial_sse
+                step_small = all(abs(s - t) <= bound for s, t in zip(trial, theta))
+                theta, sse, params = trial, trial_sse, trial_params
+                pp, pe, ee, det = trial_gram
+                table, trial_table = trial_table, table
                 lam = max(lam * 0.1, 1e-14)
                 if step_small:
-                    return True, sse, theta, iteration
+                    return True, sse, params, iteration
             else:
                 lam *= 10.0
                 if lam > 1e14:
-                    return False, sse, theta, iteration
-        return False, sse, theta, _MAX_GN_ITER
+                    return False, sse, params, iteration
+        return False, sse, params, _MAX_GN_ITER
 
 
 def fit_model_ii(data) -> FitReport:
-    """Damped Gauss-Newton fit of rho = c beta**(-eta) + d exp(-mu beta).
+    """Variable-projection fit of rho = c beta**(-eta) + d exp(-mu beta).
 
     Runs from a small set of deterministic start points (the problem has
-    genuine local minima, e.g. on nearly pure-exponential data) and
-    returns the best converged solution.
+    genuine local minima, e.g. on nearly pure-exponential data), each to
+    convergence, and returns the best converged solution.
     """
     beta, rho = _columns(data, min_points=5)
     if any(b <= 0.0 for b in beta):
@@ -289,13 +290,11 @@ def fit_model_ii(data) -> FitReport:
     if min(beta) == max(beta):
         raise SingularFit("all beta values are identical")
 
-    runs = [_gauss_newton(start, beta, rho) for start in _model_ii_starts(beta, rho)]
-    converged, sse, theta, iterations = min(
+    runs = [_variable_projection(s, beta, rho) for s in _model_ii_starts(beta, rho)]
+    converged, sse, params, iterations = min(
         [run for run in runs if run[0]] or runs, key=lambda run: run[1]
     )
-    c, log_eta, d, log_mu = theta
     rmse, r_squared = _goodness(rho, sse)
-    params = (c, math.exp(log_eta), d, math.exp(log_mu))
     report = FitReport("II", params, rmse, r_squared, iterations, converged)
     if not converged:
         raise NoConvergence(

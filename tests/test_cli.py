@@ -389,8 +389,8 @@ class TestFigureCommand:
 
 
 class TestNumpyLoading:
-    # numpy is imported inside Model II's Gauss-Newton loop only, so every
-    # other command starts without paying for its import.
+    # numpy is imported inside Model II's variable-projection loop only, so
+    # every other command starts without paying for its import.
     PROBE = """
 import contextlib, io, json, sys
 from tsqueue.cli import main

@@ -20,6 +20,9 @@ from tsqueue.solver import solve_beta
 
 
 GENERATE_CSV = Path(__file__).parent / "golden" / "generate.csv"
+# Model II's own law with 1% multiplicative noise, 36 points: file 143 of the
+# benchmark's fits workload at seed 215.
+NOISY_MODEL_II_CSV = Path(__file__).parent / "model_ii_noisy.csv"
 
 
 def rel(actual, expected):
@@ -30,6 +33,14 @@ def model_ii_rmse(params, beta, rho):
     c, eta, d, mu = params
     predicted = c * beta ** (-eta) + d * np.exp(-mu * beta)
     return math.sqrt(np.mean((rho - predicted) ** 2))
+
+
+def projected_params(log_eta, log_mu, beta, rho):
+    """(c, eta, d, mu) with (c, d) the least-squares amplitudes at the rates."""
+    eta, mu = math.exp(log_eta), math.exp(log_mu)
+    basis = np.column_stack([beta ** (-eta), np.exp(-mu * beta)])
+    (c, d), *_ = np.linalg.lstsq(basis, rho, rcond=None)
+    return c, eta, d, mu
 
 
 class TestGenerateCorrespondence:
@@ -192,15 +203,16 @@ class TestModelII:
         rho = 0.1 * beta**-0.3 + 0.6 * np.exp(-1.5 * beta)
         start = fitting._model_ii_starts(list(beta), list(rho))[0]
         monkeypatch.setattr(fitting, "_MAX_GN_ITER", 1)
-        converged, sse, theta, iterations = fitting._gauss_newton(start, beta, rho)
+        run = fitting._variable_projection(start, beta, rho)
+        converged, sse, params, iterations = run
         assert (converged, iterations) == (False, 1)
-
-        def rmse_at(theta):
-            c, log_eta, d, log_mu = theta
-            return model_ii_rmse((c, math.exp(log_eta), d, math.exp(log_mu)), beta, rho)
-
-        assert math.sqrt(sse / len(beta)) == pytest.approx(rmse_at(theta), rel=1e-9)
-        assert rmse_at(theta) < rmse_at(start)
+        rmse = model_ii_rmse(params, beta, rho)
+        assert math.sqrt(sse / len(beta)) == pytest.approx(rmse, rel=1e-9)
+        # (c, d) are the least-squares amplitudes at the step's rates
+        _, eta, _, mu = params
+        projected = projected_params(math.log(eta), math.log(mu), beta, rho)
+        assert rmse == pytest.approx(model_ii_rmse(projected, beta, rho), rel=1e-9)
+        assert rmse < model_ii_rmse(projected_params(*start, beta, rho), beta, rho)
 
     def test_budget_exhausted_raises_with_its_report(self, monkeypatch):
         rows = GENERATE_CSV.read_text().splitlines()[1:]  # mean,beta,rho,q
@@ -211,22 +223,46 @@ class TestModelII:
         assert info.value.report.converged is False
 
     def test_non_finite_start_is_rejected_at_once(self):
-        # c * beta**-eta = 1e308 * 2 overflows at beta = 0.5: the start's SSE is inf.
-        start = [1e308, 0.0, 1e308, 0.0]
+        # beta**-eta = 0.5**-2000 overflows: the start's SSE is nan.
+        start = (math.log(2000.0), 0.0)
         beta, rho = [0.5, 1.0, 2.0, 4.0, 8.0], [0.5, 0.4, 0.3, 0.2, 0.1]
-        assert fitting._gauss_newton(start, beta, rho) == (False, math.inf, start, 1)
+        run = fitting._variable_projection(start, beta, rho)
+        converged, sse, (_, eta, _, mu), iterations = run
+        assert (converged, sse, iterations) == (False, math.inf, 1)
+        assert (eta, mu) == (math.exp(start[0]), 1.0)
 
     def test_overflowing_jacobian_warns_nothing(self):
-        # The start's SSE is finite (beta**-eta is 0 for beta > 1), but
-        # -c * eta = -1e300 * e**50 overflows and the Jacobian holds nan:
-        # every step is rejected, and with warnings as errors nothing raises.
-        start = [1e300, 50.0, 1.0, 0.0]
+        # At rho ~ 1e160 the start's SSE is finite, but the Jacobian's sums
+        # of squares overflow and its reduced form holds nan: every step is
+        # rejected, and with warnings as errors nothing raises.
+        start = (math.log(0.4), 0.0)
         beta = [1.5 + 0.1 * i for i in range(20)]
-        rho = [0.3 * b**-0.4 for b in beta]
-        converged, sse, theta, _ = fitting._gauss_newton(start, beta, rho)
+        rho = [1e160 * 0.3 * b**-0.4 for b in beta]
+        run = fitting._variable_projection(start, beta, rho)
+        converged, sse, (_, eta, _, mu), _ = run
         assert converged is False
-        assert theta == start
+        assert (eta, mu) == (math.exp(start[0]), 1.0)
         assert math.isfinite(sse)  # its last bits depend on the host's numpy
+
+    def test_noisy_own_law_converges(self):
+        # The best fit of this noisy sample all but drops the power term
+        # (c ~ 1e-12, eta ~ 7.8), at the end of a long, flat valley.
+        rows = NOISY_MODEL_II_CSV.read_text().splitlines()[1:]  # beta,rho
+        report = fit_model_ii([tuple(map(float, row.split(","))) for row in rows])
+        assert report.converged
+        assert report.rmse < 0.004335
+
+    def test_rescaled_rho_rescales_only_c_and_d(self):
+        # The stopping tests and the damping floor are relative to the scale
+        # of rho, so a fit of k * rho stops where a fit of rho does.
+        beta = np.geomspace(0.02, 2.0, 60)
+        rho = 0.08 * beta**-0.2 + 0.6 * np.exp(-1.8 * beta)
+        c, eta, d, mu = fit_model_ii(list(zip(beta, rho))).params
+        for k in (1e-100, 1e-6, 1e6, 1e100):
+            report = fit_model_ii(list(zip(beta, k * rho)))
+            assert report.converged
+            expected = (k * c, eta, k * d, mu)
+            assert report.params == pytest.approx(expected, rel=1e-8)
 
     def test_rejects_nonpositive_beta(self):
         beta = np.linspace(0.0, 4.0, 9)
