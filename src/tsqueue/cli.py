@@ -45,6 +45,7 @@ from .fitting import (
     _MEAN_MIN,
     _POINTS,
     CorrespondenceRecord,
+    _Columns,
     evaluate_fit,
     fit_model_i,
     fit_model_ii,
@@ -195,20 +196,31 @@ def format_correspondence_csv(records) -> str:
     return _render(_correspondence(records), "csv")
 
 
-def parse_correspondence_csv(text):
+def _correspondence_columns(text):
+    """The columns of a correspondence CSV (mean, beta, rho, q), each a list
+    of finite floats.  Each column is converted and checked in one pass;
+    only when that fails are the rows walked, to name the first bad line."""
     rows = list(csv.reader(io.StringIO(text)))
     layout = ",".join(CSV_HEADER)
     if not rows:
         raise InputFormatError(f"line 1: empty file (expected header {layout})")
     if rows[0] != CSV_HEADER:
         raise InputFormatError(f"line 1: expected header {layout}, got {','.join(rows[0])}")
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(CSV_HEADER):
-            raise InputFormatError(
-                f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-            )
-        values = []
+    body = rows[1:]
+    if not body:
+        raise InputFormatError("line 2: no data rows")
+    width = len(CSV_HEADER)
+    if set(map(len, body)) == {width}:
+        try:
+            columns = [list(map(float, column)) for column in zip(*body)]
+        except ValueError:
+            pass
+        else:
+            if all(all(map(math.isfinite, column)) for column in columns):
+                return columns
+    for lineno, row in enumerate(body, start=2):  # raises at the first bad line
+        if len(row) != width:
+            raise InputFormatError(f"line {lineno}: expected {width} fields, got {len(row)}")
         for field in row:
             try:
                 value = float(field)
@@ -216,19 +228,17 @@ def parse_correspondence_csv(text):
                 raise InputFormatError(f"line {lineno}: invalid number {field!r}") from None
             if not math.isfinite(value):
                 raise InputFormatError(f"line {lineno}: non-finite value {field!r}")
-            values.append(value)
-        records.append(CorrespondenceRecord(*values))
-    if not records:
-        raise InputFormatError("line 2: no data rows")
-    return records
 
 
-def read_correspondence_csv(path):
+def parse_correspondence_csv(text):
+    return list(map(CorrespondenceRecord, *_correspondence_columns(text)))
+
+
+def _read_text(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"line 1: cannot read {path}: {exc}") from exc
-    return parse_correspondence_csv(text)
 
 
 # --------------------------------------------------------------- handlers
@@ -292,8 +302,8 @@ def _cmd_generate(args):
 
 
 def _cmd_fit(args):
-    records = read_correspondence_csv(args.infile)
-    data = [(r.beta, r.rho) for r in records]
+    _, beta, rho, _ = _correspondence_columns(_read_text(args.infile))
+    data = _Columns(beta, rho)
     report = fit_model_i(data) if args.model == "I" else fit_model_ii(data)
     names = ("a", "b") if report.model_kind == "I" else ("c", "eta", "d", "mu")
     scores = asdict(report)  # rmse, r_squared, iterations, converged once popped

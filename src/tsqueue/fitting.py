@@ -16,6 +16,7 @@ Two fit families are provided for rho as a function of beta:
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .distribution import _validate_q
 from .errors import DomainError, NoConvergence, SingularFit
@@ -94,13 +95,28 @@ def _mean_grid(lo, hi, n):
     return [lo, *(math.pow(10.0, la + i * step) for i in range(1, n - 1)), hi]
 
 
+class _Columns(NamedTuple):
+    """beta and rho columns already converted to floats and checked finite,
+    as the CLI's CSV reader hands them to a fit."""
+
+    beta: list
+    rho: list
+
+
 def _columns(data, min_points):
-    pairs = [(float(b), float(r)) for b, r in data]
-    if len(pairs) < min_points:
-        raise DomainError(f"need at least {min_points} data points, got {len(pairs)}")
-    if not all(math.isfinite(b) and math.isfinite(r) for b, r in pairs):
+    """beta and rho as lists of finite floats, at least ``min_points`` of
+    them, from (beta, rho) pairs or from ``_Columns`` checked before."""
+    checked = isinstance(data, _Columns)
+    if checked:
+        beta, rho = data
+    else:
+        pairs = [(float(b), float(r)) for b, r in data]
+        beta, rho = [b for b, _ in pairs], [r for _, r in pairs]
+    if len(beta) < min_points:
+        raise DomainError(f"need at least {min_points} data points, got {len(beta)}")
+    if not (checked or all(map(math.isfinite, beta)) and all(map(math.isfinite, rho))):
         raise DomainError("data contains non-finite values")
-    return [b for b, _ in pairs], [r for _, r in pairs]
+    return beta, rho
 
 
 def _line(x, y):

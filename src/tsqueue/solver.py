@@ -15,7 +15,7 @@ from typing import Optional
 
 from .distribution import QueueModel, _mean_from_sums, _validate_q, _zeta_shift
 from .errors import DegenerateStep, DomainError, NoConvergence
-from .zeta import scaled_hurwitz_zeta
+from .zeta import scaled_hurwitz_zeta_triple
 
 __all__ = ["SolverResult", "newton_step", "solve_beta"]
 
@@ -46,9 +46,8 @@ def _validate_target(q, A):
         raise DomainError(f"target mean must be positive, got {A}")
 
 
-def _newton_increment(q, beta, A, s, c, s0, s1):
-    """Newton increment at beta from s0 = S(s, c), s1 = S(s-1, c) and S(s+1, c)."""
-    s2 = scaled_hurwitz_zeta(s + 1.0, c)
+def _newton_increment(q, beta, A, c, s1, s0, s2):
+    """Newton increment at beta from s1 = S(s-1, c), s0 = S(s, c) and s2 = S(s+1, c)."""
     r = A / c
     denominator = s1 - (2.0 + r) * s0 + (1.0 + r) * s2
     if abs(denominator) < 1e-300:
@@ -70,9 +69,8 @@ def newton_step(q: float, beta: float, A: float) -> float:
     """
     _validate_target(q, A)
     model = QueueModel(q, beta)
-    s, c = model.s, model.c
-    s0, s1 = scaled_hurwitz_zeta(s, c), scaled_hurwitz_zeta(s - 1.0, c)
-    return _newton_increment(q, beta, A, s, c, s0, s1)
+    c = model.c
+    return _newton_increment(q, beta, A, c, *scaled_hurwitz_zeta_triple(model.s, c))
 
 
 def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float = _TOL,
@@ -107,23 +105,23 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
         # The bracket only narrows.  Near the root, rounding noise in the
         # mean can flip signs and cross it (lo >= hi): its width then
         # reads <= 0 and no bisection point lies inside it.  The sums
-        # returned with the residual are those the Newton step at b reuses.
+        # returned with the residual are those the Newton step at b needs.
         nonlocal lo, hi
         c = _zeta_shift(q, b)
-        sums = (c, scaled_hurwitz_zeta(s, c), scaled_hurwitz_zeta(s - 1.0, c))
-        r = _mean_from_sums(*sums) - A
+        s1, s0, s2 = scaled_hurwitz_zeta_triple(s, c)
+        r = _mean_from_sums(c, s0, s1) - A
         if r > 0.0:
             lo = max(lo, b)
         elif r < 0.0:
             hi = min(hi, b)
-        return r, sums
+        return r, (c, s1, s0, s2)
 
     beta = beta0 if beta0 is not None else math.log1p(1.0 / A)
     resid, sums = residual(beta)
     bisected = False
     for iterations in range(1, max_iter + 1):
         try:
-            step = _newton_increment(q, beta, A, s, *sums)
+            step = _newton_increment(q, beta, A, *sums)
         except DegenerateStep:
             step = math.inf  # no Newton direction: go to the bracket
         newton = step

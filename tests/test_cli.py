@@ -229,12 +229,33 @@ class TestGenerateAndFit:
         ("mean,beta,rho,q\n1,oops,0.4,0.6,7\n", "line 2: expected 4 fields, got 5"),
         ("mean,beta,rho,q\n1,-inf,x\n", "line 2: expected 4 fields, got 3"),
         ("mean,beta,rho,q\n1,0.5,0.4,0.6\n\n", "line 3: expected 4 fields, got 0"),
+        ("mean,beta,rho,q\n1,0.5,0.4,0.6\n2,0.6,0.3,0.6\n3,0.7,0.2\n",
+         "line 4: expected 4 fields, got 3"),
+        ("mean,beta,rho,q\n1,0.5,0.4,0.6\n2,0.6,0.3,0.6\n3,0.7,0.2,bad\n",
+         "line 4: invalid number 'bad'"),
     ])
     def test_malformed_file_exit_four(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         code, out, err = run(capsys, "fit", "--model", "I", "--in", str(path))
         assert (code, out, err) == (4, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", [
+        "mean,beta,rho,q\r\n1,0.5,0.4,0.6\r\n2,1.5,0.3,0.6\r\n3,2.5,0.25,0.6\r\n",
+        'mean,beta,rho,q\n1,"0.5",0.4,0.6\n2,1.5,0.3,0.6\n3,2.5,0.25,0.6\n',
+        "mean,beta,rho,q\n1,0.5, 0.4 ,0.6\n2,1.5,0.3,0.6\n3,2.5,0.25,0.6\n",
+    ], ids=["crlf", "quoted", "spaces"])
+    def test_well_formed_variants_read_alike(self, capsys, tmp_path, text):
+        plain = "mean,beta,rho,q\n1,0.5,0.4,0.6\n2,1.5,0.3,0.6\n3,2.5,0.25,0.6\n"
+        records = parse_correspondence_csv(text)
+        assert records == parse_correspondence_csv(plain)
+        assert [r.beta for r in records] == [0.5, 1.5, 2.5]
+        outputs = []
+        for name, content in (("variant.csv", text), ("plain.csv", plain)):
+            path = tmp_path / name
+            path.write_bytes(content.encode())
+            outputs.append(run(capsys, "fit", "--model", "I", "--in", str(path)))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
     def test_unconverged_model_ii_fit_exit_three(self, capsys, monkeypatch):
         monkeypatch.setattr(fitting, "_MAX_GN_ITER", 1)

@@ -10,6 +10,7 @@ from tsqueue.zeta import (
     hurwitz_zeta,
     log_hurwitz_zeta,
     scaled_hurwitz_zeta,
+    scaled_hurwitz_zeta_triple,
 )
 
 import oracles
@@ -112,6 +113,51 @@ class TestScaledSum:
     def test_unit_shift_is_unscaled(self, s):
         # a**s == 1 at a = 1, so both forms are the same double
         assert hurwitz_zeta(s, 1.0) == scaled_hurwitz_zeta(s, 1.0)
+
+
+def _single_sums(s, a):
+    """repr of (S(s-1), S(s), S(s+1)) by three single calls, or what the
+    first of them to raise, in the solver's order s, s-1, s+1, raises."""
+    try:
+        mid = scaled_hurwitz_zeta(s, a)
+        lo = scaled_hurwitz_zeta(s - 1.0, a)
+        hi = scaled_hurwitz_zeta(s + 1.0, a)
+    except (DomainError, OverflowError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return repr((lo, mid, hi))
+
+
+def _triple(s, a):
+    try:
+        return repr(scaled_hurwitz_zeta_triple(s, a))
+    except (DomainError, OverflowError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTriple:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        st.floats(min_value=-4.0, max_value=6.0),
+        st.floats(min_value=-4.0, max_value=13.0),
+    )
+    def test_equals_three_single_sums(self, log10_excess, log10_a):
+        # s - 2 log-uniform in [1e-4, 1e6], a log-uniform in [1e-4, 1e13]
+        s, a = 2.0 + 10.0**log10_excess, 10.0**log10_a
+        assert _triple(s, a) == _single_sums(s, a)
+
+    @pytest.mark.parametrize("s,a", [
+        (2.0, 1.0),              # S(s-1) diverges
+        (1.5, 1.0),
+        (0.5, 1.0),              # S(s) diverges: named first
+        (3.0, 0.0),
+        (3.0, math.nan),
+        (math.inf, 1.0),
+        (1.0000000001, 1e299),   # S(s) overflows before S(s-1) is refused
+    ])
+    def test_raises_as_the_first_single_sum(self, s, a):
+        expected = _single_sums(s, a)
+        assert isinstance(expected, tuple)
+        assert _triple(s, a) == expected
 
 
 class TestDomainAndRange:
