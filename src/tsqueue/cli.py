@@ -33,19 +33,12 @@ from .distribution import (
     utilization,
     variance,
 )
-from .errors import (
-    DegenerateStep,
-    DomainError,
-    InputFormatError,
-    NoConvergence,
-    SingularFit,
-)
+from .errors import DomainError, InputFormatError, NoConvergence, SingularFit
 from .fitting import (
     _MEAN_MAX,
     _MEAN_MIN,
     _POINTS,
     CorrespondenceRecord,
-    _Columns,
     evaluate_fit,
     fit_model_i,
     fit_model_ii,
@@ -303,8 +296,7 @@ def _cmd_generate(args):
 
 def _cmd_fit(args):
     _, beta, rho, _ = _correspondence_columns(_read_text(args.infile))
-    data = _Columns(beta, rho)
-    report = fit_model_i(data) if args.model == "I" else fit_model_ii(data)
+    report = (fit_model_i if args.model == "I" else fit_model_ii)(beta, rho)
     names = ("a", "b") if report.model_kind == "I" else ("c", "eta", "d", "mu")
     scores = asdict(report)  # rmse, r_squared, iterations, converged once popped
     kind = {"model": scores.pop("model_kind")}
@@ -323,8 +315,8 @@ def figure_dataset(spec: FigureSpec):
         records = generate_correspondence(q, spec.mean_min, spec.mean_max, spec.points)
         fits = ()
         if figure.fitted:
-            data = [(r.beta, r.rho) for r in records]
-            fits = (fit_model_i(data), fit_model_ii(data))
+            beta, rho = [r.beta for r in records], [r.rho for r in records]
+            fits = (fit_model_i(beta, rho), fit_model_ii(beta, rho))
         rows += [figure.row(r, QueueModel(q, r.beta), fits, spec.thresholds)
                  for r in records]
     return header, rows
@@ -452,7 +444,7 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (NoConvergence, SingularFit, DegenerateStep) as exc:
+    except (NoConvergence, SingularFit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (DomainError, OverflowError) as exc:

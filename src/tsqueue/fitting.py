@@ -16,7 +16,6 @@ Two fit families are provided for rho as a function of beta:
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .distribution import _validate_q
 from .errors import DomainError, NoConvergence, SingularFit
@@ -95,26 +94,17 @@ def _mean_grid(lo, hi, n):
     return [lo, *(math.pow(10.0, la + i * step) for i in range(1, n - 1)), hi]
 
 
-class _Columns(NamedTuple):
-    """beta and rho columns already converted to floats and checked finite,
-    as the CLI's CSV reader hands them to a fit."""
-
-    beta: list
-    rho: list
-
-
-def _columns(data, min_points):
-    """beta and rho as lists of finite floats, at least ``min_points`` of
-    them, from (beta, rho) pairs or from ``_Columns`` checked before."""
-    checked = isinstance(data, _Columns)
-    if checked:
-        beta, rho = data
-    else:
-        pairs = [(float(b), float(r)) for b, r in data]
-        beta, rho = [b for b, _ in pairs], [r for _, r in pairs]
+def _columns(beta, rho, min_points):
+    """beta and rho as equally long lists of finite floats, at least
+    ``min_points`` of them."""
+    beta, rho = list(map(float, beta)), list(map(float, rho))
+    if len(beta) != len(rho):
+        raise DomainError(
+            f"beta and rho must be equally long, got {len(beta)} and {len(rho)}"
+        )
     if len(beta) < min_points:
         raise DomainError(f"need at least {min_points} data points, got {len(beta)}")
-    if not (checked or all(map(math.isfinite, beta)) and all(map(math.isfinite, rho))):
+    if not (all(map(math.isfinite, beta)) and all(map(math.isfinite, rho))):
         raise DomainError("data contains non-finite values")
     return beta, rho
 
@@ -157,9 +147,10 @@ def _model_i_regressor(beta):
         ) from None
 
 
-def fit_model_i(data) -> FitReport:
-    """Exact least-squares fit of rho = a + b exp(-beta)."""
-    beta, rho = _columns(data, min_points=3)
+def fit_model_i(beta, rho) -> FitReport:
+    """Exact least-squares fit of rho = a + b exp(-beta) to the columns
+    ``beta`` and ``rho``."""
+    beta, rho = _columns(beta, rho, min_points=3)
     regressor = [_model_i_regressor(b) for b in beta]
     line = _line(regressor, rho)
     if line is None:
@@ -293,24 +284,30 @@ def _variable_projection(start, beta, rho):
         return False, sse, params, _MAX_GN_ITER
 
 
-def fit_model_ii(data) -> FitReport:
-    """Variable-projection fit of rho = c beta**(-eta) + d exp(-mu beta).
+def fit_model_ii(beta, rho) -> FitReport:
+    """Variable-projection fit of rho = c beta**(-eta) + d exp(-mu beta) to
+    the columns ``beta`` and ``rho``.
 
     Runs from a small set of deterministic start points (the problem has
     genuine local minima, e.g. on nearly pure-exponential data), each to
-    convergence, and returns the best converged solution.
+    convergence, and returns the best converged solution.  The loop fits
+    rho scaled by a power of two so that max|rho| lies in [0.5, 1), where
+    its SSE cannot overflow; c, d and rmse are scaled back exactly.
     """
-    beta, rho = _columns(data, min_points=5)
+    beta, rho = _columns(beta, rho, min_points=5)
     if any(b <= 0.0 for b in beta):
         raise DomainError("Model II requires all beta > 0")
     if min(beta) == max(beta):
         raise SingularFit("all beta values are identical")
 
-    runs = [_variable_projection(s, beta, rho) for s in _model_ii_starts(beta, rho)]
-    converged, sse, params, iterations = min(
+    e = math.frexp(max(map(abs, rho)))[1]
+    scaled = [math.ldexp(r, -e) for r in rho]
+    runs = [_variable_projection(s, beta, scaled) for s in _model_ii_starts(beta, rho)]
+    converged, sse, (c, eta, d, mu), iterations = min(
         [run for run in runs if run[0]] or runs, key=lambda run: run[1]
     )
-    rmse, r_squared = _goodness(rho, sse)
+    rmse, r_squared = _goodness(scaled, sse)
+    rmse, params = math.ldexp(rmse, e), (math.ldexp(c, e), eta, math.ldexp(d, e), mu)
     report = FitReport("II", params, rmse, r_squared, iterations, converged)
     if not converged:
         raise NoConvergence(

@@ -17,11 +17,11 @@ of the accumulated sum, which keeps the total relative error near 1e-14
 over the supported range.
 
 The last 1,024 values of S are cached by (s, a): one qos_report reads its
-few sums more than once, and a figure row may read again a sum it or its
-neighbour read before.  What an evaluation needs of s alone (the B14
-bound's 13 logarithms, s + 14, s - 1 and the Bernoulli terms' rising
-factors) is cached by s, as a solve or a figure evaluates one exponent at
-many shifts a.  Both caches only skip repeated work: every value is
+few sums more than once, and a figure-4 row reads S(s, c) once per
+threshold.  What an evaluation needs of s alone (the B14 bound's 13
+logarithms, s + 14, s - 1 and the Bernoulli terms' rising factors) is
+cached by s, as a solve or a figure evaluates one exponent at many
+shifts a.  Both caches only skip repeated work: every value is
 computed by the same floating-point operations, in the same order, as
 without them.
 

@@ -283,16 +283,16 @@ def test_criterion_09_fit_quality_ordering():
     crit = _Criterion(9, "Model II rmse <= Model I rmse; exact synthetic recovery")
     for q in (0.6, 0.7, 0.8, 0.9):
         records = generate_correspondence(q, 0.1, 100.0, 50)
-        data = [(r.beta, r.rho) for r in records]
-        rmse_i = fit_model_i(data).rmse
-        rmse_ii = fit_model_ii(data).rmse
+        beta, rho = [r.beta for r in records], [r.rho for r in records]
+        rmse_i = fit_model_i(beta, rho).rmse
+        rmse_ii = fit_model_ii(beta, rho).rmse
         crit.check(
             rmse_ii <= rmse_i,
             f"q={q}: rmse II {rmse_ii!r} > rmse I {rmse_i!r}",
         )
     beta = np.geomspace(0.05, 10.0, 50)
     rho = 0.1 * beta**-1.5 + 0.6 * np.exp(-2.0 * beta)
-    report = fit_model_ii(list(zip(beta, rho)))
+    report = fit_model_ii(beta, rho)
     for got, want in zip(report.params, (0.1, 1.5, 0.6, 2.0)):
         crit.check(
             abs(got - want) <= 1e-6, f"synthetic recovery: {report.params}"

@@ -331,7 +331,7 @@ class TestFigureCommand:
         assert lines[0] == "q,beta,rho"
         rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
         chosen = [(beta, rho) for q, beta, rho in rows if q == 0.95]
-        report = fit_model_i(chosen)
+        report = fit_model_i(*zip(*chosen))
         # "within 2%" of the fitted curve, read as two percentage points
         # of traffic intensity: the relative gap blows up at the small-rho
         # end (measured 9% there) while the absolute gap stays below 0.02

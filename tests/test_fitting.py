@@ -25,6 +25,11 @@ GENERATE_CSV = Path(__file__).parent / "golden" / "generate.csv"
 NOISY_MODEL_II_CSV = Path(__file__).parent / "model_ii_noisy.csv"
 
 
+def columns(records):
+    """The beta and rho columns of correspondence records."""
+    return [r.beta for r in records], [r.rho for r in records]
+
+
 def rel(actual, expected):
     return abs(actual - expected) / abs(expected)
 
@@ -82,7 +87,7 @@ class TestModelI:
     def test_exact_recovery(self):
         beta = np.linspace(0.1, 5.0, 25)
         rho = 0.2 + 0.5 * np.exp(-beta)
-        report = fit_model_i(list(zip(beta, rho)))
+        report = fit_model_i(beta, rho)
         a, b = report.params
         assert abs(a - 0.2) <= 1e-12
         assert abs(b - 0.5) <= 1e-12
@@ -90,8 +95,8 @@ class TestModelI:
         assert report.converged
 
     def test_two_point_system_with_duplicate(self):
-        data = [(0.0, 1.0), (math.log(2.0), 0.6), (math.log(2.0), 0.6)]
-        report = fit_model_i(data)
+        beta, rho = [0.0, math.log(2.0), math.log(2.0)], [1.0, 0.6, 0.6]
+        report = fit_model_i(beta, rho)
         a, b = report.params
         assert a == pytest.approx(0.2, abs=1e-12)
         assert b == pytest.approx(0.8, abs=1e-12)
@@ -100,7 +105,7 @@ class TestModelI:
         # the modified exponential tracks the near-geometric low-beta
         # regime; in relative terms its residuals are smaller there
         records = generate_correspondence(0.9)
-        report = fit_model_i([(r.beta, r.rho) for r in records])
+        report = fit_model_i(*columns(records))
         betas = np.array([r.beta for r in records])
         rhos = np.array([r.rho for r in records])
         predicted = np.array([evaluate_fit(report, b) for b in betas])
@@ -111,13 +116,12 @@ class TestModelI:
         assert rmse_low < rmse_high
 
     def test_singular_data(self):
-        data = [(1.0, 0.3), (1.0, 0.4), (1.0, 0.5)]
         with pytest.raises(SingularFit):
-            fit_model_i(data)
+            fit_model_i([1.0, 1.0, 1.0], [0.3, 0.4, 0.5])
 
     def test_too_few_points(self):
         with pytest.raises(DomainError):
-            fit_model_i([(0.1, 0.9), (1.0, 0.4)])
+            fit_model_i([0.1, 1.0], [0.9, 0.4])
 
     @pytest.mark.parametrize("source", ["synthetic", "generated"])
     def test_local_minimum(self, source):
@@ -128,7 +132,7 @@ class TestModelI:
             records = generate_correspondence(0.7)
             beta = np.array([r.beta for r in records])
             rho = np.array([r.rho for r in records])
-        report = fit_model_i(list(zip(beta, rho)))
+        report = fit_model_i(beta, rho)
         a, b = report.params
 
         def rmse_of(a_, b_):
@@ -144,7 +148,7 @@ class TestModelII:
     def test_exact_recovery(self):
         beta = np.geomspace(0.05, 10.0, 50)
         rho = 0.1 * beta**-1.5 + 0.6 * np.exp(-2.0 * beta)
-        report = fit_model_ii(list(zip(beta, rho)))
+        report = fit_model_ii(beta, rho)
         assert report.converged
         for got, want in zip(report.params, (0.1, 1.5, 0.6, 2.0)):
             assert abs(got - want) <= 1e-6
@@ -152,7 +156,7 @@ class TestModelII:
 
     def test_positivity_constraints(self):
         records = generate_correspondence(0.7)
-        report = fit_model_ii([(r.beta, r.rho) for r in records])
+        report = fit_model_ii(*columns(records))
         _, eta, _, mu = report.params
         assert eta > 0.0
         assert mu > 0.0
@@ -160,13 +164,13 @@ class TestModelII:
     @pytest.mark.parametrize("q", [0.6, 0.8])
     def test_beats_model_i_on_generated_data(self, q):
         records = generate_correspondence(q)
-        data = [(r.beta, r.rho) for r in records]
-        assert fit_model_ii(data).rmse <= fit_model_i(data).rmse
+        beta, rho = columns(records)
+        assert fit_model_ii(beta, rho).rmse <= fit_model_i(beta, rho).rmse
 
     def test_pure_exponential_truth(self):
         beta = np.geomspace(0.05, 10.0, 50)
         rho = 0.6 * np.exp(-2.0 * beta)
-        report = fit_model_ii(list(zip(beta, rho)))
+        report = fit_model_ii(beta, rho)
         c, eta, _, _ = report.params
         power_mass = float(np.sum(np.abs(c * beta**-eta)))
         assert power_mass < 0.01 * float(np.sum(rho))
@@ -174,10 +178,9 @@ class TestModelII:
     @pytest.mark.parametrize("q", [0.6, 0.9])
     def test_local_minimum_on_generated_data(self, q):
         records = generate_correspondence(q)
-        data = [(r.beta, r.rho) for r in records]
-        report = fit_model_ii(data)
         beta = np.array([r.beta for r in records])
         rho = np.array([r.rho for r in records])
+        report = fit_model_ii(beta, rho)
         base = model_ii_rmse(report.params, beta, rho)
         for index in range(4):
             for sign in (+1.0, -1.0):
@@ -188,7 +191,7 @@ class TestModelII:
     def test_local_minimum_on_synthetic_data(self):
         beta = np.geomspace(0.05, 10.0, 50)
         rho = 0.1 * beta**-1.5 + 0.6 * np.exp(-2.0 * beta)
-        report = fit_model_ii(list(zip(beta, rho)))
+        report = fit_model_ii(beta, rho)
         base = model_ii_rmse(report.params, beta, rho)
         for index in range(4):
             for sign in (+1.0, -1.0):
@@ -216,10 +219,10 @@ class TestModelII:
 
     def test_budget_exhausted_raises_with_its_report(self, monkeypatch):
         rows = GENERATE_CSV.read_text().splitlines()[1:]  # mean,beta,rho,q
-        data = [tuple(map(float, row.split(",")[1:3])) for row in rows]
+        beta, rho = zip(*(map(float, row.split(",")[1:3]) for row in rows))
         monkeypatch.setattr(fitting, "_MAX_GN_ITER", 1)
         with pytest.raises(NoConvergence, match=r"^Model II fit did not converge") as info:
-            fit_model_ii(data)
+            fit_model_ii(beta, rho)
         assert info.value.report.converged is False
 
     def test_non_finite_start_is_rejected_at_once(self):
@@ -248,18 +251,20 @@ class TestModelII:
         # The best fit of this noisy sample all but drops the power term
         # (c ~ 1e-12, eta ~ 7.8), at the end of a long, flat valley.
         rows = NOISY_MODEL_II_CSV.read_text().splitlines()[1:]  # beta,rho
-        report = fit_model_ii([tuple(map(float, row.split(","))) for row in rows])
+        report = fit_model_ii(*zip(*(map(float, row.split(",")) for row in rows)))
         assert report.converged
         assert report.rmse < 0.004335
 
     def test_rescaled_rho_rescales_only_c_and_d(self):
-        # The stopping tests and the damping floor are relative to the scale
-        # of rho, so a fit of k * rho stops where a fit of rho does.
+        # The loop fits rho scaled into [0.5, 1) by a power of two, and its
+        # stopping tests and damping floor are relative to the scale of rho,
+        # so a fit of k * rho stops where a fit of rho does, even where the
+        # SSE of k * rho itself would overflow or underflow.
         beta = np.geomspace(0.02, 2.0, 60)
         rho = 0.08 * beta**-0.2 + 0.6 * np.exp(-1.8 * beta)
-        c, eta, d, mu = fit_model_ii(list(zip(beta, rho))).params
-        for k in (1e-100, 1e-6, 1e6, 1e100):
-            report = fit_model_ii(list(zip(beta, k * rho)))
+        c, eta, d, mu = fit_model_ii(beta, rho).params
+        for k in (1e-300, 1e-100, 1e-6, 1e6, 1e100, 1e160, 1e300):
+            report = fit_model_ii(beta, k * rho)
             assert report.converged
             expected = (k * c, eta, k * d, mu)
             assert report.params == pytest.approx(expected, rel=1e-8)
@@ -268,23 +273,22 @@ class TestModelII:
         beta = np.linspace(0.0, 4.0, 9)
         rho = np.exp(-beta)
         with pytest.raises(DomainError):
-            fit_model_ii(list(zip(beta, rho)))
+            fit_model_ii(beta, rho)
 
     def test_singular_data(self):
-        data = [(2.0, 0.3)] * 6
         with pytest.raises(SingularFit):
-            fit_model_ii(data)
+            fit_model_ii([2.0] * 6, [0.3] * 6)
 
 
 class TestEvaluateFit:
     def test_model_i_at_zero(self):
         beta = np.linspace(0.0, 5.0, 20)
         rho = 0.2 + 0.5 * np.exp(-beta)
-        report = fit_model_i(list(zip(beta, rho)))
+        report = fit_model_i(beta, rho)
         assert evaluate_fit(report, 0.0) == pytest.approx(0.7, abs=1e-10)
 
     def test_model_i_overflow_names_the_beta(self):
-        report = fit_model_i([(1, 0.4), (2, 0.3), (3, 0.25)])
+        report = fit_model_i([1, 2, 3], [0.4, 0.3, 0.25])
         message = "Model I regressor exp(-beta) exceeds the double range at beta=-800.0"
         with pytest.raises(OverflowError, match=re.escape(message)):
             evaluate_fit(report, -800)
@@ -292,24 +296,24 @@ class TestEvaluateFit:
     def test_model_ii_direct_arithmetic(self):
         beta = np.geomspace(0.05, 10.0, 50)
         rho = 0.1 * beta**-1.5 + 0.6 * np.exp(-2.0 * beta)
-        report = fit_model_ii(list(zip(beta, rho)))
+        report = fit_model_ii(beta, rho)
         expected = 0.1 + 0.6 * math.exp(-2.0)  # 0.18120...
         assert evaluate_fit(report, 1.0) == pytest.approx(expected, rel=1e-5)
 
     def test_rmse_self_consistency(self):
         records = generate_correspondence(0.8, points=30)
-        data = [(r.beta, r.rho) for r in records]
-        for report in (fit_model_i(data), fit_model_ii(data)):
+        beta, rho = columns(records)
+        for report in (fit_model_i(beta, rho), fit_model_ii(beta, rho)):
             recomputed = math.sqrt(
-                sum((rho - evaluate_fit(report, beta)) ** 2 for beta, rho in data)
-                / len(data)
+                sum((r - evaluate_fit(report, b)) ** 2 for b, r in zip(beta, rho))
+                / len(beta)
             )
             assert abs(recomputed - report.rmse) <= 1e-12
 
     def test_model_ii_rejects_nonpositive_beta(self):
         beta = np.geomspace(0.05, 10.0, 50)
         rho = 0.1 * beta**-1.5 + 0.6 * np.exp(-2.0 * beta)
-        report = fit_model_ii(list(zip(beta, rho)))
+        report = fit_model_ii(beta, rho)
         with pytest.raises(DomainError):
             evaluate_fit(report, 0.0)
         with pytest.raises(DomainError):
@@ -330,15 +334,40 @@ class TestEvaluateFit:
             evaluate_fit(report, beta)
 
 
+@pytest.mark.parametrize("fit,min_points", [(fit_model_i, 3), (fit_model_ii, 5)],
+                         ids=["I", "II"])
+class TestColumns:
+    BETA = [1, 2, 3, 4, 5, 6, 7, 8]
+    RHO = [0.1 * b**-0.5 + 0.6 * math.exp(-1.5 * b) for b in BETA]
+
+    def test_unequal_lengths_name_both(self, fit, min_points):
+        message = "beta and rho must be equally long, got 8 and 7"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fit(self.BETA, self.RHO[:-1])
+
+    def test_too_few_points(self, fit, min_points):
+        message = f"need at least {min_points} data points, got {min_points - 1}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fit(self.BETA[:min_points - 1], self.RHO[:min_points - 1])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values(self, fit, min_points, bad):
+        for beta, rho in ((self.BETA[:-1] + [bad], self.RHO),
+                          (self.BETA, self.RHO[:-1] + [bad])):
+            with pytest.raises(DomainError, match="^data contains non-finite values$"):
+                fit(beta, rho)
+
+    def test_numpy_arrays_and_ints_fit_as_floats(self, fit, min_points):
+        expected = fit([float(b) for b in self.BETA], self.RHO)
+        assert fit(self.BETA, self.RHO) == expected
+        assert fit(np.array(self.BETA), np.array(self.RHO)) == expected
+
+
 class TestModelOrderingAndShape:
     def test_near_boundary_exponential_shape(self):
         # at q = 0.95 the relationship is nearly exponential in beta;
         # at q = 0.6 the long power tail defeats the two-parameter form
-        high_q = fit_model_i(
-            [(r.beta, r.rho) for r in generate_correspondence(0.95)]
-        )
-        low_q = fit_model_i(
-            [(r.beta, r.rho) for r in generate_correspondence(0.6)]
-        )
+        high_q = fit_model_i(*columns(generate_correspondence(0.95)))
+        low_q = fit_model_i(*columns(generate_correspondence(0.6)))
         assert high_q.r_squared >= 0.99
         assert low_q.r_squared < high_q.r_squared
