@@ -63,7 +63,7 @@ _DEFAULT_THRESHOLDS = (10, 100, 1000)
 class _Figure(NamedTuple):
     """One figure: its default q-list, its columns (a ``{}`` column stands
     for one column per threshold), and its row for one correspondence
-    record, from that record's model, the q's fits and the thresholds."""
+    record, from that record, the q's fits and the thresholds."""
 
     q_list: tuple
     columns: tuple
@@ -73,17 +73,18 @@ class _Figure(NamedTuple):
 
 _FIGURES = {
     1: _Figure((0.6, 0.7, 0.8, 0.9, 0.95), ("q", "beta", "rho"),
-               lambda r, model, fits, xs: (r.q, r.beta, r.rho)),
+               lambda r, fits, xs: (r.q, r.beta, r.rho)),
     2: _Figure((0.6, 0.7, 0.8, 0.9), ("q", "beta", "rho", "rho_model_i", "rho_model_ii"),
-               lambda r, model, fits, xs: (
+               lambda r, fits, xs: (
                    r.q, r.beta, r.rho, *(evaluate_fit(fit, r.beta) for fit in fits)),
                fitted=True),
     3: _Figure((0.7, 0.75, 0.8, 0.9), ("q", "rho", "variance"),
-               lambda r, model, fits, xs: (r.q, r.rho, variance(model))),
+               lambda r, fits, xs: (r.q, r.rho, variance(QueueModel(r.q, r.beta)))),
     4: _Figure((0.6, 0.7, 0.8, 0.9), ("q", "rho", "overflow_at_{}"),
-               lambda r, model, fits, xs: (r.q, r.rho, *(tail(model, x) for x in xs))),
+               lambda r, fits, xs: (
+                   r.q, r.rho, *map(functools.partial(tail, QueueModel(r.q, r.beta)), xs))),
     5: _Figure((0.6, 0.7, 0.8, 0.9), ("q", "rho", "utilization", "mm1_utilization"),
-               lambda r, model, fits, xs: (r.q, r.rho, utilization(model), r.rho)),
+               lambda r, fits, xs: (r.q, r.rho, utilization(QueueModel(r.q, r.beta)), r.rho)),
 }
 
 
@@ -317,8 +318,7 @@ def figure_dataset(spec: FigureSpec):
         if figure.fitted:
             beta, rho = [r.beta for r in records], [r.rho for r in records]
             fits = (fit_model_i(beta, rho), fit_model_ii(beta, rho))
-        rows += [figure.row(r, QueueModel(q, r.beta), fits, spec.thresholds)
-                 for r in records]
+        rows += [figure.row(r, fits, spec.thresholds) for r in records]
     return header, rows
 
 

@@ -14,6 +14,7 @@ Two fit families are provided for rho as a function of beta:
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -69,7 +70,10 @@ def generate_correspondence(q, mean_min=_MEAN_MIN, mean_max=_MEAN_MAX, points=_P
         raise DomainError(
             f"need 0 < mean_min < mean_max, got {mean_min}, {mean_max}"
         )
-    points = int(points)
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise DomainError(f"points must be an integer, got {points!r}") from None
     if points < 2:
         raise DomainError(f"need at least 2 grid points, got {points}")
     hurst = hurst_from_q(q)

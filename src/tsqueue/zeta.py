@@ -16,6 +16,16 @@ remainder bound for this completely monotone summand) stays below 1e-15
 of the accumulated sum, which keeps the total relative error near 1e-14
 over the supported range.
 
+That cutoff test, log_err <= log(1e-15) + log(partial), first compares
+log_err with log(1e-15) + (partial - 1) and takes log(partial) only where
+that passes.  For every double p > 1, fl(log p) <= fl(p - 1): on (1, 2]
+p - 1 is exact and a faithful log cannot round past it, and above 2 the
+gap p - 1 - log p exceeds 0.3 (p - 1).  Rounding of + is monotone, so the
+precheck fails only where the full test fails, and every cutoff N, and so
+every value and error, is the one the full test alone gives.  It must be
+grouped as log(1e-15) + (partial - 1), not (log(1e-15) + partial) - 1,
+whose rounding the lemma does not cover.
+
 The last 1,024 values of S are cached by (s, a): one qos_report reads its
 few sums more than once, and a figure-4 row reads S(s, c) once per
 threshold.  What an evaluation needs of s alone (the B14 bound's 13
@@ -141,8 +151,9 @@ def _scaled_sum(s, a):
         an = a + n
         if s14 <= two_pi * an:
             log_err = log_t + bound_base - 13.0 * log(an)
-            floor = log(partial) if partial > 1.0 else 0.0
-            if log_err <= log_rel_target + floor:
+            # partial - 1 >= log(partial): log is taken only where the test can pass.
+            if log_err <= log_rel_target + (partial - 1.0 if partial > 1.0 else 0.0) and (
+                    partial <= 1.0 or log_err <= log_rel_target + log(partial)):
                 break
         append(t)
         partial += t
@@ -191,22 +202,28 @@ def scaled_hurwitz_zeta_triple(s: float, a: float) -> tuple:
         # Each search's stop test, as in _scaled_sum; 13 log(a+n) is shared.
         log_an13 = 13.0 * log(an) if s14_lo <= span else 0.0  # s14_lo is the least
         if n_lo is None:
-            if t_lo == 0.0 or (s14_lo <= span and log_t_lo + base_lo - log_an13 <= (
-                    log_rel_target + (log(partial_lo) if partial_lo > 1.0 else 0.0))):
+            if t_lo == 0.0 or (s14_lo <= span and (
+                    err := log_t_lo + base_lo - log_an13) <= log_rel_target + (
+                    partial_lo - 1.0 if partial_lo > 1.0 else 0.0) and (
+                    partial_lo <= 1.0 or err <= log_rel_target + log(partial_lo))):
                 n_lo = n
             else:
                 append_lo(t_lo)
                 partial_lo += t_lo
         if n_mid is None:
-            if t_mid == 0.0 or (s14_mid <= span and log_t_mid + base_mid - log_an13 <= (
-                    log_rel_target + (log(partial_mid) if partial_mid > 1.0 else 0.0))):
+            if t_mid == 0.0 or (s14_mid <= span and (
+                    err := log_t_mid + base_mid - log_an13) <= log_rel_target + (
+                    partial_mid - 1.0 if partial_mid > 1.0 else 0.0) and (
+                    partial_mid <= 1.0 or err <= log_rel_target + log(partial_mid))):
                 n_mid = n
             else:
                 append_mid(t_mid)
                 partial_mid += t_mid
         if n_hi is None:
-            if t_hi == 0.0 or (s14_hi <= span and log_t_hi + base_hi - log_an13 <= (
-                    log_rel_target + (log(partial_hi) if partial_hi > 1.0 else 0.0))):
+            if t_hi == 0.0 or (s14_hi <= span and (
+                    err := log_t_hi + base_hi - log_an13) <= log_rel_target + (
+                    partial_hi - 1.0 if partial_hi > 1.0 else 0.0) and (
+                    partial_hi <= 1.0 or err <= log_rel_target + log(partial_hi))):
                 n_hi = n
             else:
                 append_hi(t_hi)

@@ -82,6 +82,16 @@ class TestGenerateCorrespondence:
         with pytest.raises(DomainError):
             generate_correspondence(0.75, 0.1, 100.0, 1)
 
+    @pytest.mark.parametrize("points", [2.9, 3.0, "3", None])
+    def test_non_integer_points_rejected(self, points):
+        with pytest.raises(DomainError, match=f"points must be an integer, got {points!r}"):
+            generate_correspondence(0.75, 0.1, 100.0, points)
+
+    def test_integer_like_points_accepted(self):
+        records = generate_correspondence(0.75, 0.1, 100.0, np.int64(3))
+        assert [r.mean for r in records] == [
+            r.mean for r in generate_correspondence(0.75, 0.1, 100.0, 3)]
+
 
 class TestModelI:
     def test_exact_recovery(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tsqueue.errors import DomainError
 from tsqueue.zeta import (
+    _scaled_sum,
     hurwitz_zeta,
     log_hurwitz_zeta,
     scaled_hurwitz_zeta,
@@ -115,6 +116,14 @@ class TestScaledSum:
         assert hurwitz_zeta(s, 1.0) == scaled_hurwitz_zeta(s, 1.0)
 
 
+def _outcome(func, *args):
+    """repr of what func returns, or the type and message of what it raises."""
+    try:
+        return repr(func(*args))
+    except (DomainError, OverflowError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
 def _single_sums(s, a):
     """repr of (S(s-1), S(s), S(s+1)) by three single calls, or what the
     first of them to raise, in the solver's order s, s-1, s+1, raises."""
@@ -127,13 +136,6 @@ def _single_sums(s, a):
     return repr((lo, mid, hi))
 
 
-def _triple(s, a):
-    try:
-        return repr(scaled_hurwitz_zeta_triple(s, a))
-    except (DomainError, OverflowError, RuntimeError) as exc:
-        return type(exc), str(exc)
-
-
 class TestTriple:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(
@@ -143,7 +145,7 @@ class TestTriple:
     def test_equals_three_single_sums(self, log10_excess, log10_a):
         # s - 2 log-uniform in [1e-4, 1e6], a log-uniform in [1e-4, 1e13]
         s, a = 2.0 + 10.0**log10_excess, 10.0**log10_a
-        assert _triple(s, a) == _single_sums(s, a)
+        assert _outcome(scaled_hurwitz_zeta_triple, s, a) == _single_sums(s, a)
 
     @pytest.mark.parametrize("s,a", [
         (2.0, 1.0),              # S(s-1) diverges
@@ -157,7 +159,54 @@ class TestTriple:
     def test_raises_as_the_first_single_sum(self, s, a):
         expected = _single_sums(s, a)
         assert isinstance(expected, tuple)
-        assert _triple(s, a) == expected
+        assert _outcome(scaled_hurwitz_zeta_triple, s, a) == expected
+
+
+def _lemma_holds(p):
+    """fl(log p) <= fl(p - 1), and so L + log p <= L + (p - 1) at the
+    cutoff's L: the precheck never stops a search that the full test
+    would not stop."""
+    target = math.log(1e-15)
+    return math.log(p) <= p - 1.0 and target + math.log(p) <= target + (p - 1.0)
+
+
+def _reference_triple(s, a):
+    """The reference's (S(s-1), S(s), S(s+1)), computed in the solver's
+    order s, s-1, s+1, so the first of them to raise raises."""
+    mid = oracles.reference_scaled_sum(s, a)
+    return (oracles.reference_scaled_sum(s - 1.0, a), mid,
+            oracles.reference_scaled_sum(s + 1.0, a))
+
+
+class TestCutoffPrecheck:
+    def test_lemma_above_one(self):
+        p = 1.0
+        for _ in range(65536):
+            p = math.nextafter(p, math.inf)
+            assert _lemma_holds(p), p
+
+    def test_lemma_at_powers_of_two(self):
+        for k in range(1, 1024):
+            p = 2.0**k
+            for x in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)):
+                assert _lemma_holds(x), x
+
+    @settings(max_examples=2000, derandomize=True, deadline=None)
+    @given(st.floats(min_value=1.0, max_value=1e308))
+    def test_lemma_property(self, p):
+        assert _lemma_holds(p)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        st.floats(min_value=-4.0, max_value=6.0),
+        st.floats(min_value=-4.0, max_value=13.0),
+    )
+    def test_loops_equal_the_plain_cutoff_test(self, log10_excess, log10_a):
+        # s - 2 log-uniform in [1e-4, 1e6], a log-uniform in [1e-4, 1e13]
+        s, a = 2.0 + 10.0**log10_excess, 10.0**log10_a
+        assert _outcome(_scaled_sum.__wrapped__, s, a) == _outcome(
+            oracles.reference_scaled_sum, s, a)
+        assert _outcome(scaled_hurwitz_zeta_triple, s, a) == _outcome(_reference_triple, s, a)
 
 
 class TestDomainAndRange:
