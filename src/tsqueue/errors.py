@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""The package's errors.  ``cli.main`` prints each as ``error: ...`` and exits
+2 on ``DomainError`` (``MomentDoesNotExist`` is one) and on the built-in
+``OverflowError`` of a result beyond the double range, 3 on ``NoConvergence``
+and ``SingularFit``, and 4 on ``InputFormatError``."""
 
 
 class DomainError(ValueError):
@@ -7,10 +10,6 @@ class DomainError(ValueError):
 
 class MomentDoesNotExist(DomainError):
     """The requested moment diverges for the given entropy index."""
-
-
-class DegenerateStep(ArithmeticError):
-    """The closed-form Newton step has a vanishing denominator."""
 
 
 class NoConvergence(RuntimeError):

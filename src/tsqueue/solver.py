@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .distribution import QueueModel, _mean_from_sums, _validate_q, _zeta_shift
-from .errors import DegenerateStep, DomainError, NoConvergence
+from .errors import DomainError, NoConvergence
 from .zeta import scaled_hurwitz_zeta_triple
 
 __all__ = ["SolverResult", "newton_step", "solve_beta"]
@@ -47,14 +47,12 @@ def _validate_target(q, A):
 
 
 def _newton_increment(q, beta, A, c, s1, s0, s2):
-    """Newton increment at beta from s1 = S(s-1, c), s0 = S(s, c) and s2 = S(s+1, c)."""
+    """Newton increment at beta from s1 = S(s-1, c), s0 = S(s, c) and s2 = S(s+1, c);
+    inf where no finite step exists."""
     r = A / c
     denominator = s1 - (2.0 + r) * s0 + (1.0 + r) * s2
     if abs(denominator) < 1e-300:
-        raise DegenerateStep(
-            f"Newton denominator {denominator} is numerically zero "
-            f"at q={q}, beta={beta}, A={A}"
-        )
+        return math.inf
     numerator = s1 - (1.0 + r) * s0
     return beta * (1.0 - q) * numerator / denominator
 
@@ -65,7 +63,7 @@ def newton_step(q: float, beta: float, A: float) -> float:
     Written in terms of the scaled sums S(sigma, c) = c**sigma *
     zeta(sigma, c); the common c**(1-s) prefactor of the raw zeta form
     cancels exactly, so the step is computable even where the individual
-    zeta values underflow.
+    zeta values underflow.  It is inf where no finite step exists.
     """
     _validate_target(q, A)
     model = QueueModel(q, beta)
@@ -120,11 +118,7 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
     resid, sums = residual(beta)
     bisected = False
     for iterations in range(1, max_iter + 1):
-        try:
-            step = _newton_increment(q, beta, A, *sums)
-        except DegenerateStep:
-            step = math.inf  # no Newton direction: go to the bracket
-        newton = step
+        step = newton = _newton_increment(q, beta, A, *sums)  # inf: go to the bracket
         candidate = beta + step
         for _ in range(6):  # the full step, then five halvings
             # A step below beta's resolution leaves nothing to evaluate.

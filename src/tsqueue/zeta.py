@@ -51,7 +51,7 @@ import math
 import sys
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, NoConvergence
 
 __all__ = [
     "hurwitz_zeta",
@@ -124,7 +124,10 @@ def _total(terms, s, a, n, t, s_minus_1, rising_factors):
             0.5 * t,             # half-term
             t * c1 * g1, t * c2 * g2, t * c3 * g3, t * c4 * g4, t * c5 * g5, t * c6 * g6,
         )
-    total = math.fsum(terms)
+    try:
+        total = math.fsum(terms)
+    except ValueError:  # -inf + inf: (s+1)(s+2) overflows for s above about 1.34e154
+        total = math.inf
     if not math.isfinite(total):
         raise OverflowError(f"scaled zeta sum overflows for s={s}, a={a}")
     return total
@@ -159,7 +162,7 @@ def _scaled_sum(s, a):
         partial += t
         n += 1
         if n > _MAX_TERMS:
-            raise RuntimeError("Euler-Maclaurin cutoff search did not terminate")
+            raise NoConvergence("Euler-Maclaurin cutoff search did not terminate")
         log_t = neg_s * log1p(n / a)
         t = exp(log_t)
     return _total(terms, s, a, n, t, s_minus_1, rising_factors)
@@ -232,7 +235,7 @@ def scaled_hurwitz_zeta_triple(s: float, a: float) -> tuple:
             break
         n += 1
         if n > _MAX_TERMS:
-            raise RuntimeError("Euler-Maclaurin cutoff search did not terminate")
+            raise NoConvergence("Euler-Maclaurin cutoff search did not terminate")
         log1p_n = log1p(n / a)
         if n_lo is None:
             log_t_lo = neg_lo * log1p_n

@@ -141,7 +141,7 @@ def reference_scaled_sum(s, a):
     tail (zeta._total).  It pins the cutoff search, which must stop at the
     same N however the package orders the test's work.
     """
-    from tsqueue import zeta
+    from tsqueue import errors, zeta
 
     zeta._check(s, a)
     bound_base, s14, s_minus_1, rising_factors = zeta._exponent_terms(s)
@@ -161,7 +161,7 @@ def reference_scaled_sum(s, a):
         partial += t
         n += 1
         if n > zeta._MAX_TERMS:
-            raise RuntimeError("Euler-Maclaurin cutoff search did not terminate")
+            raise errors.NoConvergence("Euler-Maclaurin cutoff search did not terminate")
         log_t = -s * math.log1p(n / a)
         t = math.exp(log_t)
     return zeta._total(terms, s, a, n, t, s_minus_1, rising_factors)

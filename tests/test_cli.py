@@ -11,7 +11,7 @@ import pytest
 
 import tsqueue
 import tsqueue.cli as cli
-from tsqueue import fitting
+from tsqueue import fitting, zeta
 from tsqueue.cli import (
     FigureSpec,
     figure_dataset,
@@ -72,6 +72,18 @@ class TestZetaCommand:
         code, _, err = run(capsys, "zeta", "0.5", "1")
         assert code == 2
         assert "s > 1" in err
+
+    def test_corrections_overflow_exits_two(self, capsys):
+        code, out, err = run(capsys, "zeta", "1e155", "1e155")
+        assert (code, out) == (2, "")
+        assert err == "error: scaled zeta sum overflows for s=1e+155, a=1e+155\n"
+
+    def test_unterminated_cutoff_search_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(zeta, "_MAX_TERMS", 1)
+        zeta._scaled_sum.cache_clear()
+        code, out, err = run(capsys, "zeta", "3.25", "0.125")
+        assert (code, out) == (3, "")
+        assert err == "error: Euler-Maclaurin cutoff search did not terminate\n"
 
 
 class TestDistributionCommands:
@@ -170,6 +182,14 @@ class TestSolverAndNorrosCommands:
         )
         assert code == 3
         assert "converge" in err
+
+    def test_bisection_stall_exits_three(self, capsys):
+        code, out, err = run(
+            capsys, "solve-beta", "--q", "0.999998200468878", "--mean", "422.3660131765974"
+        )
+        assert (code, out) == (3, "")
+        assert err == ("error: bisection stalled at beta=0.0023648248661590388 "
+                       "with residual 6.840235755589674e-08\n")
 
 
 class TestGenerateAndFit:
@@ -315,6 +335,12 @@ class TestGenerateAndFit:
         assert code == 2
         assert err == f"error: {name} must be finite, got {value}\n"
         assert not out
+
+    def test_generate_solver_failure_exits_three(self, capsys):
+        code, out, err = run(capsys, "generate", "--q", "0.999999", "--mean-min", "100",
+                             "--mean-max", "1e6", "--points", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: beta solve failed at mean=1000000.0: bisection stalled")
 
     def test_generate_json_round_trip(self, capsys):
         payload = run_json(capsys, "generate", "--q", "0.75", "--points", "5")

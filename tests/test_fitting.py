@@ -87,6 +87,18 @@ class TestGenerateCorrespondence:
         with pytest.raises(DomainError, match=f"points must be an integer, got {points!r}"):
             generate_correspondence(0.75, 0.1, 100.0, points)
 
+    def test_solver_failure_names_the_mean(self):
+        with pytest.raises(NoConvergence) as info:
+            generate_correspondence(0.999999, 100.0, 1e6, 2)
+        cause = info.value.__cause__
+        assert isinstance(cause, NoConvergence)
+        assert str(cause) == ("bisection stalled at beta=1.000001499882919e-06 "
+                              "with residual -0.0005700075998902321")
+        assert str(info.value) == f"beta solve failed at mean=1000000.0: {cause}"
+        assert (info.value.beta, info.value.residual, info.value.iterations) == (
+            cause.beta, cause.residual, cause.iterations)
+        assert cause.iterations == 2
+
     def test_integer_like_points_accepted(self):
         records = generate_correspondence(0.75, 0.1, 100.0, np.int64(3))
         assert [r.mean for r in records] == [

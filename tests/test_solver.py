@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tsqueue.distribution import QueueModel, mean
 from tsqueue.errors import DomainError, NoConvergence
-from tsqueue.solver import newton_step, solve_beta
+from tsqueue.solver import SolverResult, newton_step, solve_beta
 
 import oracles
 
@@ -57,6 +57,10 @@ class TestNewtonStep:
         expected = -oracles.constraint_objective_series(q, beta, A) / derivative
         assert rel(step, expected) <= 1e-5
 
+    def test_no_finite_step_is_infinite(self):
+        # At beta = 1e6 the three sums are 1 to rounding: the denominator is 0.
+        assert newton_step(0.75, 1e6, 2.0) == math.inf
+
 
 class TestSolveBeta:
     @pytest.mark.parametrize("q", Q_GRID)
@@ -103,6 +107,23 @@ class TestSolveBeta:
         forced = solve_beta(0.75, target, beta0=1e6)
         assert forced.fallback_used
         assert rel(forced.beta, 1.0) <= 1e-8
+
+    def test_degenerate_first_step_goes_to_the_bracket(self):
+        assert solve_beta(0.75, 2.0, beta0=1e6) == SolverResult(
+            beta=0.7477426482615257, iterations=25, residual=4.440892098500626e-16,
+            fallback_used=True)
+
+    def test_bisection_stall_is_reported(self):
+        # Near q = 1 the mean's rounding noise exceeds the target: the solve
+        # doubles its open bracket's low end, takes geometric midpoints, and
+        # stalls once no double lies strictly inside the bracket.
+        message = ("bisection stalled at beta=0.0023648248661590388 "
+                   "with residual 6.840235755589674e-08")
+        with pytest.raises(NoConvergence) as info:
+            solve_beta(0.999998200468878, 422.3660131765974)
+        assert str(info.value) == message
+        assert (info.value.beta, info.value.residual, info.value.iterations) == (
+            0.0023648248661590388, 6.840235755589674e-08, 21)
 
     def test_no_convergence_reports_iterate(self):
         target = mean(QueueModel(0.75, 1.0))

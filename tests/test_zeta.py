@@ -1,11 +1,13 @@
 import math
+import re
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsqueue.errors import DomainError
+from tsqueue.errors import DomainError, NoConvergence
+from tsqueue import zeta
 from tsqueue.zeta import (
     _scaled_sum,
     hurwitz_zeta,
@@ -120,7 +122,7 @@ def _outcome(func, *args):
     """repr of what func returns, or the type and message of what it raises."""
     try:
         return repr(func(*args))
-    except (DomainError, OverflowError, RuntimeError) as exc:
+    except (DomainError, OverflowError, NoConvergence) as exc:
         return type(exc), str(exc)
 
 
@@ -131,7 +133,7 @@ def _single_sums(s, a):
         mid = scaled_hurwitz_zeta(s, a)
         lo = scaled_hurwitz_zeta(s - 1.0, a)
         hi = scaled_hurwitz_zeta(s + 1.0, a)
-    except (DomainError, OverflowError, RuntimeError) as exc:
+    except (DomainError, OverflowError, NoConvergence) as exc:
         return type(exc), str(exc)
     return repr((lo, mid, hi))
 
@@ -233,6 +235,22 @@ class TestDomainAndRange:
         with pytest.raises(OverflowError):
             hurwitz_zeta(200.0, 0.01)
         assert math.isfinite(log_hurwitz_zeta(200.0, 0.01))
+
+    @pytest.mark.parametrize("s", [1e155, 1e200, 1e308])
+    def test_overflowing_corrections_raise_overflow(self, s):
+        # (s+1)(s+2) overflows: the Bernoulli corrections are inf and -inf.
+        message = f"scaled zeta sum overflows for s={s}, a={s}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            scaled_hurwitz_zeta(s, s)
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            scaled_hurwitz_zeta_triple(s, s)
+
+    @pytest.mark.parametrize("loop", [scaled_hurwitz_zeta, scaled_hurwitz_zeta_triple])
+    def test_term_budget_raises_no_convergence(self, monkeypatch, loop):
+        monkeypatch.setattr(zeta, "_MAX_TERMS", 1)
+        _scaled_sum.cache_clear()
+        with pytest.raises(NoConvergence, match="cutoff search did not terminate"):
+            loop(3.25, 0.125)
 
     def test_underflow_directs_to_log_variant(self):
         with pytest.raises(OverflowError):
