@@ -4,12 +4,14 @@ Exit codes: 0 success, 2 invalid arguments (incl. an unwritable --out
 path) or domain errors, 3 solver/fit non-convergence (incl. singular
 fits), 4 malformed input file (messages name the offending line).
 
-Every command handler returns data: a flat record, or a header and rows
-for a dataset.  One renderer, ``_render``, turns it into ``table`` (human
-readable), ``csv`` or ``json`` (loss-free round trips, floats printed
-with 17 significant digits in CSV; strict JSON, with non-finite floats
-as null).  ``generate`` and ``figure`` default to csv since their
-payload is a dataset; everything else defaults to table.
+Every command handler calls the library with the options given, so an
+omitted one takes the library's own default, and returns data: a flat
+record, or a header and rows for a dataset.  One renderer, ``_render``,
+turns it into ``table`` (human readable), ``csv`` or ``json`` (loss-free
+round trips, floats printed with 17 significant digits in CSV; strict
+JSON, with non-finite floats as null).  ``generate`` and ``figure``
+default to csv since their payload is a dataset; everything else
+defaults to table.
 """
 
 import argparse
@@ -24,8 +26,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .distribution import (
-    _TAIL_POINTS,
     QueueModel,
+    _points,
     _validate_q,
     pmf,
     qos_report,
@@ -35,9 +37,6 @@ from .distribution import (
 )
 from .errors import DomainError, InputFormatError, NoConvergence, SingularFit
 from .fitting import (
-    _MEAN_MAX,
-    _MEAN_MIN,
-    _POINTS,
     CorrespondenceRecord,
     evaluate_fit,
     fit_model_i,
@@ -45,10 +44,10 @@ from .fitting import (
     generate_correspondence,
 )
 from .norros import norros_mean, norros_rho
-from .solver import _MAX_ITER, _TOL, solve_beta
+from .solver import solve_beta
 from .zeta import hurwitz_zeta
 
-__all__ = ["main", "build_parser", "FigureSpec"]
+__all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,8 +55,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_BAD_INPUT = 4
 
 CSV_HEADER = [field.name for field in fields(CorrespondenceRecord)]
-
-_DEFAULT_THRESHOLDS = (10, 100, 1000)
 
 
 class _Figure(NamedTuple):
@@ -86,34 +83,6 @@ _FIGURES = {
     5: _Figure((0.6, 0.7, 0.8, 0.9), ("q", "rho", "utilization", "mm1_utilization"),
                lambda r, fits, xs: (r.q, r.rho, utilization(QueueModel(r.q, r.beta)), r.rho)),
 }
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    """Which figure dataset to emit and over which grids."""
-
-    figure_id: int
-    q_list: tuple
-    mean_min: float = _MEAN_MIN
-    mean_max: float = _MEAN_MAX
-    points: int = _POINTS
-    thresholds: tuple = _DEFAULT_THRESHOLDS
-
-    def __post_init__(self):
-        if self.figure_id not in _FIGURES:
-            raise DomainError(
-                f"figure id must be one of {list(_FIGURES)}, got {self.figure_id}"
-            )
-        if not self.q_list:
-            raise DomainError("q list must not be empty")
-        for q in self.q_list:
-            _validate_q(q)
-        if not self.thresholds:
-            raise DomainError("thresholds must not be empty")
-        if any(x < 0 for x in self.thresholds):
-            raise DomainError(f"thresholds must be nonnegative, got {self.thresholds}")
-        if self.figure_id == 3 and any(q <= 2.0 / 3.0 for q in self.q_list):
-            raise DomainError("figure 3 plots the variance, which requires every q > 2/3")
 
 
 def _fmt(value) -> str:
@@ -261,7 +230,7 @@ _VARIANCE_NOTE = "variance undefined: requires q > 2/3 (second moment diverges)"
 
 def _cmd_metrics(args):
     model = QueueModel(args.q, args.beta)
-    report = qos_report(model, _parse_list(args.tail, int))
+    report = qos_report(model, **_given(args, tail_points=int))
     fields = {"q": model.q, "beta": model.beta, **asdict(report)}
     samples = fields.pop("tail_samples")
     payload = dict(fields, tail_samples=[{"x": x, "probability": p} for x, p in samples])
@@ -276,8 +245,7 @@ def _cmd_metrics(args):
 
 
 def _cmd_solve_beta(args):
-    result = solve_beta(args.q, args.mean, beta0=args.beta0, tol=args.tol,
-                        max_iter=args.max_iter)
+    result = solve_beta(args.q, args.mean, **_given(args, "beta0", "tol", "max_iter"))
     return _Record({"q": args.q, "mean": args.mean, **asdict(result)})
 
 
@@ -289,10 +257,11 @@ def _cmd_norros_rho(args):
     return _value(norros_rho(args.mean, args.hurst), mean=args.mean, hurst=args.hurst)
 
 
+_GRID = ("mean_min", "mean_max", "points")  # the options of the mean grid
+
+
 def _cmd_generate(args):
-    return _correspondence(
-        generate_correspondence(args.q, args.mean_min, args.mean_max, args.points)
-    )
+    return _correspondence(generate_correspondence(args.q, **_given(args, *_GRID)))
 
 
 def _cmd_fit(args):
@@ -305,38 +274,37 @@ def _cmd_fit(args):
     return _Record({**kind, **params, **scores}, json={**kind, "params": params, **scores})
 
 
-def figure_dataset(spec: FigureSpec):
-    """Header and rows for one figure; rows grouped by q, ascending mean."""
-    figure = _FIGURES[spec.figure_id]
+def figure_dataset(figure_id, q_list=None, thresholds=(10, 100, 1000), **grid):
+    """Header and rows for one figure, over ``q_list`` (default: the
+    figure's own) and the mean grid ``generate_correspondence`` takes
+    as ``grid``; rows grouped by q, ascending mean."""
+    if figure_id not in _FIGURES:
+        raise DomainError(f"figure id must be one of {list(_FIGURES)}, got {figure_id}")
+    figure = _FIGURES[figure_id]
+    q_list = figure.q_list if q_list is None else q_list
+    if not q_list:
+        raise DomainError("q list must not be empty")
+    for q in q_list:
+        _validate_q(q)
+    thresholds = _points(thresholds, "threshold")
+    if not thresholds:
+        raise DomainError("thresholds must not be empty")
     header = []
     for name in figure.columns:
-        header += [name.format(x) for x in spec.thresholds] if "{}" in name else [name]
+        header += [name.format(x) for x in thresholds] if "{}" in name else [name]
     rows = []
-    for q in spec.q_list:
-        records = generate_correspondence(q, spec.mean_min, spec.mean_max, spec.points)
+    for q in q_list:
+        records = generate_correspondence(q, **grid)
         fits = ()
         if figure.fitted:
             beta, rho = [r.beta for r in records], [r.rho for r in records]
             fits = (fit_model_i(beta, rho), fit_model_ii(beta, rho))
-        rows += [figure.row(r, fits, spec.thresholds) for r in records]
+        rows += [figure.row(r, fits, thresholds) for r in records]
     return header, rows
 
 
 def _cmd_figure(args):
-    q_list = (
-        tuple(_parse_list(args.q_list, float))
-        if args.q_list is not None
-        else _FIGURES[args.id].q_list
-    )
-    spec = FigureSpec(
-        figure_id=args.id,
-        q_list=q_list,
-        mean_min=args.mean_min,
-        mean_max=args.mean_max,
-        points=args.points,
-        thresholds=tuple(_parse_list(args.thresholds, int)),
-    )
-    return figure_dataset(spec)
+    return figure_dataset(args.id, **_given(args, *_GRID, q_list=float, thresholds=int))
 
 
 # ------------------------------------------------------------ arg parsing
@@ -350,27 +318,37 @@ def _parse_list(text, kind):
         raise DomainError(f"expected a comma-separated list of {noun}, got {text!r}") from None
 
 
+def _given(args, *names, **lists):
+    """The options among ``names`` and ``lists`` that the command line gave,
+    each ``lists`` one parsed as a comma-separated list of its kind.  A flag
+    not given is left out, so the library function's own default holds."""
+    given = vars(args)
+    options = {name: given[name] for name in names if name in given}
+    options.update((name, _parse_list(given[name], kind))
+                   for name, kind in lists.items() if name in given)
+    return options
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``tsqueue`` parser.  Each command's parser sets its ``handler``
     and its ``default_format``, the format used when ``--format`` is not
-    given.  ``--format`` and ``--out`` go before or after the command, and
-    stay unset when not given."""
-    common = argparse.ArgumentParser(add_help=False)
+    given.  An option not given stays unset.  ``--format`` and ``--out`` go
+    before or after the command."""
+    unset = argparse.SUPPRESS
+    common = argparse.ArgumentParser(add_help=False, argument_default=unset)
     common.add_argument(
-        "--format", choices=("table", "csv", "json"), default=argparse.SUPPRESS,
+        "--format", choices=("table", "csv", "json"),
         help="output format (default: table; generate/figure default to csv)",
     )
-    common.add_argument(
-        "--out", default=argparse.SUPPRESS, help="write output to this path instead of stdout"
-    )
+    common.add_argument("--out", help="write output to this path instead of stdout")
     with_q = argparse.ArgumentParser(add_help=False)
     with_q.add_argument("--q", type=float, required=True)
     model = argparse.ArgumentParser(add_help=False, parents=[with_q])
     model.add_argument("--beta", type=float, required=True)
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--mean-min", type=float, default=_MEAN_MIN)
-    grid.add_argument("--mean-max", type=float, default=_MEAN_MAX)
-    grid.add_argument("--points", type=int, default=_POINTS)
+    grid = argparse.ArgumentParser(add_help=False, argument_default=unset)
+    grid.add_argument("--mean-min", type=float)
+    grid.add_argument("--mean-max", type=float)
+    grid.add_argument("--points", type=int)
 
     parser = argparse.ArgumentParser(
         prog="tsqueue", parents=[common],
@@ -380,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help, parents=(), default_format="table"):
-        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p = sub.add_parser(name, parents=[common, *parents], help=help, argument_default=unset)
         p.set_defaults(handler=handler, default_format=default_format)
         return p
 
@@ -395,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
 
     p = command("metrics", _cmd_metrics, "QoS report for one model", [model])
-    p.add_argument("--tail", default=",".join(map(str, _TAIL_POINTS)),
+    p.add_argument("--tail", dest="tail_points", metavar="TAIL",
                    help="comma-separated overflow thresholds")
 
     p = command("solve-beta", _cmd_solve_beta, "recover beta from a target mean", [with_q])
     p.add_argument("--mean", type=float, required=True)
     p.add_argument("--beta0", type=float)
-    p.add_argument("--tol", type=float, default=_TOL)
-    p.add_argument("--max-iter", type=int, default=_MAX_ITER)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int)
 
     p = command("norros-mean", _cmd_norros_mean, "storage-model mean for (rho, H)")
     p.add_argument("--rho", type=float, required=True)
@@ -422,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("figure", _cmd_figure, "plot-ready dataset for figures 1..5", [grid],
                 default_format="csv")
     p.add_argument("--id", type=int, choices=tuple(_FIGURES), required=True)
-    p.add_argument("--q-list", default=None)
-    p.add_argument("--thresholds", default=",".join(map(str, _DEFAULT_THRESHOLDS)))
+    p.add_argument("--q-list")
+    p.add_argument("--thresholds")
 
     return parser
 

@@ -35,7 +35,6 @@ __all__ = [
 
 _TWO_THIRDS = 2.0 / 3.0
 _LOG_MAX = math.log(1.7976931348623157e308)
-_TAIL_POINTS = (0, 10, 100)
 
 
 def _validate_q(q):
@@ -112,6 +111,11 @@ def _index(value, name="i"):
     if value < 0:
         raise DomainError(f"{name} must be nonnegative, got {value}")
     return value
+
+
+def _points(values, name):
+    """``values`` as ascending distinct nonnegative integers, each checked as a ``name``."""
+    return sorted({_index(x, name) for x in values})
 
 
 def _log_scaled(s, a):
@@ -211,9 +215,9 @@ def utilization(model: QueueModel) -> float:
     return 1.0 - 1.0 / scaled_hurwitz_zeta(model.s, model.c)
 
 
-def qos_report(model: QueueModel, tail_points=_TAIL_POINTS) -> QosReport:
+def qos_report(model: QueueModel, tail_points=(0, 10, 100)) -> QosReport:
     """Bundle mean, variance (when finite), utilization and tail table."""
-    points = sorted({_index(x, "tail point") for x in tail_points})
+    points = _points(tail_points, "tail point")
     p0 = pmf(model, 0)
     var = variance(model) if model.q > _TWO_THIRDS else None
     asym = tail_asymptote(model, 1)

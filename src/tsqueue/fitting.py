@@ -32,8 +32,6 @@ __all__ = [
     "evaluate_fit",
 ]
 
-# The default mean grid: _POINTS means log-spaced from _MEAN_MIN to _MEAN_MAX.
-_MEAN_MIN, _MEAN_MAX, _POINTS = 0.1, 100.0, 50
 _GRADIENT_TOL = 1e-10
 _MAX_GN_ITER = 500
 
@@ -60,8 +58,9 @@ class FitReport:
     converged: bool
 
 
-def generate_correspondence(q, mean_min=_MEAN_MIN, mean_max=_MEAN_MAX, points=_POINTS):
-    """Records for a log-spaced mean grid, sorted by ascending mean."""
+def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
+    """Records for ``points`` means log-spaced from ``mean_min`` to
+    ``mean_max``, sorted by ascending mean."""
     _validate_q(q)
     for name, value in (("mean_min", mean_min), ("mean_max", mean_max)):
         if not math.isfinite(value):

@@ -19,9 +19,6 @@ from .zeta import scaled_hurwitz_zeta_triple
 
 __all__ = ["SolverResult", "newton_step", "solve_beta"]
 
-# solve_beta's default tol and max_iter, which suit the whole (q, A) range.
-_TOL, _MAX_ITER = 1e-10, 100
-
 
 @dataclass(frozen=True)
 class SolverResult:
@@ -71,8 +68,8 @@ def newton_step(q: float, beta: float, A: float) -> float:
     return _newton_increment(q, beta, A, c, *scaled_hurwitz_zeta_triple(model.s, c))
 
 
-def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float = _TOL,
-               max_iter: int = _MAX_ITER) -> SolverResult:
+def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float = 1e-10,
+               max_iter: int = 100) -> SolverResult:
     """Find beta with mean(q, beta) = A to within tol * max(1, A).
 
     Newton iterates from beta0 (default ln((A+1)/A), the exact q -> 1

@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from tsqueue.cli import FigureSpec, figure_dataset, main, parse_correspondence_csv
+from tsqueue.cli import figure_dataset, main, parse_correspondence_csv
 from tsqueue.distribution import (
     QueueModel,
     mean,
@@ -302,7 +302,7 @@ def test_criterion_09_fit_quality_ordering():
 
 def test_criterion_10_utilization_transition():
     crit = _Criterion(10, "utilization crosses the M/M/1 line at q=0.6")
-    _, rows = figure_dataset(FigureSpec(figure_id=5, q_list=(0.6,)))
+    _, rows = figure_dataset(5, (0.6,))
     diffs = [(rho, util - rho) for _, rho, util, _ in rows]
     crit.check(
         all(0.05 < rho < 0.95 for rho, _ in diffs),

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -11,9 +12,8 @@ import pytest
 
 import tsqueue
 import tsqueue.cli as cli
-from tsqueue import fitting, zeta
+from tsqueue import QueueModel, fitting, generate_correspondence, qos_report, solve_beta, zeta
 from tsqueue.cli import (
-    FigureSpec,
     figure_dataset,
     format_correspondence_csv,
     main,
@@ -381,9 +381,19 @@ class TestFigureCommand:
             assert all(x < y for x, y in zip(variances, variances[1:]))
 
     def test_figure_three_rejects_low_q(self, capsys):
-        code, _, err = run(capsys, "figure", "--id", "3", "--q-list", "0.6,0.8")
-        assert code == 2
-        assert "2/3" in err
+        code, out, err = run(capsys, "figure", "--id", "3", "--q-list", "0.8,0.6")
+        assert (code, out) == (2, "")
+        assert err == "error: variance diverges: requires q > 2/3, got q=0.6\n"
+
+    def test_repeated_thresholds_give_one_column_each(self, capsys):
+        argv = ("figure", "--id", "4", "--q-list", "0.7", "--points", "2",
+                "--thresholds", "100,10,10")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        header = out.splitlines()[0]
+        assert header == "q,rho,overflow_at_10,overflow_at_100"
+        records = run_json(capsys, *argv)["records"]
+        assert [",".join(record) for record in records] == [header, header]
 
     def test_figure_four_headers(self, capsys, tmp_path):
         out = tmp_path / "fig4.csv"
@@ -426,13 +436,39 @@ class TestFigureCommand:
         assert err == f"error: {message}\n"
 
     def test_figure_spec_validation(self):
+        with pytest.raises(DomainError, match=r"one of \[1, 2, 3, 4, 5\], got 7"):
+            figure_dataset(7, (0.6,))
         with pytest.raises(DomainError):
-            FigureSpec(figure_id=7, q_list=(0.6,))
-        with pytest.raises(DomainError):
-            FigureSpec(figure_id=1, q_list=(1.2,))
-        header, rows = figure_dataset(FigureSpec(figure_id=1, q_list=(0.75,), points=5))
+            figure_dataset(1, (1.2,))
+        header, rows = figure_dataset(1, (0.75,), points=5)
         assert header == ["q", "beta", "rho"]
         assert len(rows) == 5
+
+
+def _records(header, rows):
+    return {"records": [dict(zip(header, row)) for row in rows]}
+
+
+def _metrics(q, beta, report):
+    samples = [{"x": x, "probability": p} for x, p in report.tail_samples]
+    return {"q": q, "beta": beta, **asdict(report), "tail_samples": samples}
+
+
+class TestOmittedFlags:
+    # A flag not given is not passed on: each command's JSON equals that of
+    # the library call with the library's own defaults.
+    @pytest.mark.parametrize("argv,expected", [
+        (["solve-beta", "--q", "0.75", "--mean", "2"],
+         lambda: {"q": 0.75, "mean": 2.0, **asdict(solve_beta(0.75, 2.0))}),
+        (["generate", "--q", "0.6"],
+         lambda: {"records": [asdict(r) for r in generate_correspondence(0.6)]}),
+        (["metrics", "--q", "0.75", "--beta", "1"],
+         lambda: _metrics(0.75, 1.0, qos_report(QueueModel(0.75, 1.0)))),
+        (["figure", "--id", "4", "--q-list", "0.7"],
+         lambda: _records(*figure_dataset(4, (0.7,)))),
+    ], ids=["solve-beta", "generate", "metrics", "figure"])
+    def test_omitted_flags_take_the_library_defaults(self, capsys, argv, expected):
+        assert run_json(capsys, *argv) == expected()
 
 
 class TestNumpyLoading:
@@ -495,8 +531,10 @@ class TestUsageErrors:
          "expected a comma-separated list of numbers, got '0.6,x'"),
         (["metrics", "--q", "0.75", "--beta", "1", "--tail", "1,a"],
          "expected a comma-separated list of integers, got '1,a'"),
-        (["figure", "--id", "4", "--thresholds", "10,-1"],
-         "thresholds must be nonnegative, got (10, -1)"),
+        # The id keeps the case's name from before the message became singular.
+        pytest.param(["figure", "--id", "4", "--thresholds", "10,-1"],
+                     "threshold must be nonnegative, got -1",
+                     id="argv2-thresholds must be nonnegative, got -1"),
     ])
     def test_malformed_list_exits_two(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

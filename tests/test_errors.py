@@ -60,12 +60,34 @@ def test_every_raise_names_a_mapped_error():
     assert [(where, name) for where, name in raises if name not in EXIT_CODES] == []
 
 
+def _imports(path):
+    """(file:line, the name) for each name a module imports from a tsqueue module."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("tsqueue")):
+            yield from ((f"{path.name}:{node.lineno}", alias.name) for alias in node.names)
+
+
+def test_no_module_imports_another_modules_private_constant():
+    # A default or limit shared by import is stated twice: it belongs in the
+    # one signature or module that uses it.
+    package = Path(tsqueue.__file__).parent
+    imports = [i for path in sorted(package.glob("*.py")) for i in _imports(path)]
+    assert "_validate_q" in {name for _, name in imports}  # the walk sees private imports
+    assert [(where, name) for where, name in imports
+            if name.startswith("_") and name.isupper()] == []
+
+
 # Extreme values for every float argument, and integers for the integer ones.
 EXTREMES = ["0", "-0", "5e-324", "1e-308", "0.5", "1", "1e154", "1e155", "1e200", "1e308",
             "inf", "nan", "-1"]
 INTEGERS = ["0", "-0", "1", "-1", str(10**20), str(10**400)]
 # q has no valid value among the extremes: add some from (1/2, 1).
 Q_VALUES = EXTREMES + ["0.5000001", "0.75", "0.999999"]
+# --points has no upper bound, and the mean grid is built whole: no huge values.
+POINTS = ["0", "-0", "1", "-1", "2"]
+VALUES = {"--q": Q_VALUES, "--q-list": Q_VALUES, "--points": POINTS}
+
+GRID = {"--mean-min": "0.1", "--mean-max": "100"}
 
 # command: (its float arguments at a valid point, its integer arguments)
 COMMANDS = {
@@ -76,6 +98,9 @@ COMMANDS = {
                    {"--max-iter": "100"}),
     "norros-mean": ({"--rho": "0.5", "--hurst": "0.75"}, {}),
     "norros-rho": ({"--mean": "2", "--hurst": "0.75"}, {}),
+    "generate": ({"--q": "0.75", **GRID}, {"--points": "5"}),
+    **{f"figure --id {k}": ({"--q-list": "0.75", **GRID}, {"--points": "5", "--thresholds": "10"})
+       for k in range(1, 6)},
 }
 
 
@@ -88,12 +113,13 @@ def _sweep(command):
     floats, integers = COMMANDS[command]
 
     def argv(given):
-        return [command, *(word for pair in given.items() for word in pair)]
+        return [*command.split(), *(word for pair in given.items() for word in pair)]
 
     valid = {**floats, **integers}
     calls = [argv({**valid, flag: value}) for flag in floats
-             for value in (Q_VALUES if flag == "--q" else EXTREMES)]
-    calls += [argv({**valid, flag: value}) for flag in integers for value in INTEGERS]
+             for value in VALUES.get(flag, EXTREMES)]
+    calls += [argv({**valid, flag: value}) for flag in integers
+              for value in VALUES.get(flag, INTEGERS)]
     calls += [argv({**dict.fromkeys(floats, value), **integers}) for value in EXTREMES]
     return calls
 

@@ -7,7 +7,7 @@ import pytest
 
 import tsqueue
 from tsqueue import distribution, fitting, norros, solver, zeta
-from tsqueue.cli import FigureSpec
+from tsqueue.cli import figure_dataset
 from tsqueue.errors import DomainError
 
 LAYERS = (distribution, solver, norros, fitting, zeta)
@@ -30,8 +30,8 @@ def test_package_exports_the_layer_modules_names():
     lambda q: distribution.QueueModel(q, 1.0),
     lambda q: solver.solve_beta(q, 1.0),
     lambda q: fitting.generate_correspondence(q),
-    lambda q: FigureSpec(figure_id=1, q_list=(q,)),
-], ids=["QueueModel", "solve_beta", "generate_correspondence", "FigureSpec"])
+    lambda q: figure_dataset(1, (q,)),
+], ids=["QueueModel", "solve_beta", "generate_correspondence", "figure_dataset"])
 def test_one_q_domain_check(check, q):
     message = f"entropy index q must lie strictly in (1/2, 1), got q={q}"
     with pytest.raises(DomainError, match=re.escape(message)):
