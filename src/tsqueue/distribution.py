@@ -5,9 +5,21 @@ multiplier beta > 0.  The stationary number-in-system law is
 
     p_i = (c + i)**(-s) / zeta(s, c),   s = 1/(1-q),  c = 1/(beta*(1-q)),
 
-a discrete power law whose tail exponent is q/(1-q).  All probabilities
-are assembled in the log domain from the scaled zeta sum S(s, a), so the
+a discrete power law whose tail exponent is q/(1-q).  Probabilities are
+assembled in the log domain from the scaled zeta sum S(s, a), so the
 q -> 1 regime (s in the thousands) stays representable.
+
+The moments come from one pass, zeta.excess_sums, over the terms k >= 1
+of the law: with S = S(s, c) = 1 + E0, the mean is c E1/S, the
+utilization E0/S and the variance c**2 (E2/S - (E1/S)**2).  None of them
+is a difference of sums near 1, which lost every digit at large beta and
+near q -> 1 (the mean and utilization of q = 0.9, beta = 700 read 0; the
+variance of q = 0.999999999, beta = 1e-5 read -1.8e13).  pmf, tail and
+the asymptote keep the single sum S(s, a): a probability is a ratio of
+sums, not a difference, so it has nothing to cancel, and the single sum
+is cheaper than the five-series pass.  The pass is memoized like the
+single sum, so a figure row that reads the variance or the utilization
+at a beta the solver has just returned reads the solver's last pass.
 """
 
 import math
@@ -16,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, MomentDoesNotExist
-from .zeta import scaled_hurwitz_zeta
+from .zeta import excess_sums, scaled_hurwitz_zeta
 
 __all__ = [
     "QueueModel",
@@ -162,15 +174,15 @@ def tail_asymptote(model: QueueModel, x) -> TailAsymptote:
     return TailAsymptote(coefficient, exponent, value)
 
 
-def _mean_from_sums(c, s0, s1):
-    """Mean from the scaled sums s0 = S(s, c) and s1 = S(s-1, c)."""
-    return c * math.expm1(math.log(s1) - math.log(s0))
+def _excess(model):
+    """The excess sums (E0, E1, E2, G1, H2) at model, in units of c**j."""
+    return excess_sums(model.s, model.c, model.q)
 
 
 def mean(model: QueueModel) -> float:
-    """Mean number of packets, zeta(s-1, c)/zeta(s, c) - c."""
-    s, c = model.s, model.c
-    return _mean_from_sums(c, scaled_hurwitz_zeta(s, c), scaled_hurwitz_zeta(s - 1.0, c))
+    """Mean number of packets, c E1/S."""
+    e0, e1 = _excess(model)[:2]
+    return model.c * (e1 / (1.0 + e0))
 
 
 def moment(model: QueueModel, k) -> float:
@@ -188,6 +200,9 @@ def moment(model: QueueModel, k) -> float:
         )
     if k == 1:
         return mean(model)
+    if k == 2:  # c**2 E2/S: the binomial sum below read -1.8e13 at q = 0.999999999, beta = 1e-5
+        e0, _, e2 = _excess(model)[:3]
+        return model.c * (model.c * (e2 / (1.0 + e0)))
     s, c = model.s, model.c
     log_s0 = _log_scaled(s, c)
     terms = [
@@ -198,25 +213,27 @@ def moment(model: QueueModel, k) -> float:
 
 
 def variance(model: QueueModel) -> float:
-    """Packet-count variance; requires q > 2/3 for the second moment."""
+    """Packet-count variance c**2 (E2/S - (E1/S)**2); requires q > 2/3 for
+    the second moment."""
     if model.q <= _TWO_THIRDS:
         raise MomentDoesNotExist(
             f"variance diverges: requires q > 2/3, got q={model.q}"
         )
-    s, c = model.s, model.c
-    log_s0 = _log_scaled(s, c)
-    r1 = math.exp(_log_scaled(s - 1.0, c) - log_s0)
-    r2 = math.exp(_log_scaled(s - 2.0, c) - log_s0)
-    return c * c * (r2 - r1 * r1)
+    e0, e1, e2 = _excess(model)[:3]
+    total = 1.0 + e0
+    m1 = e1 / total
+    return model.c * (model.c * (e2 / total - m1 * m1))
 
 
 def utilization(model: QueueModel) -> float:
-    """P(system non-empty) = 1 - p_0 = 1 - 1/S(s, c)."""
-    return 1.0 - 1.0 / scaled_hurwitz_zeta(model.s, model.c)
+    """P(system non-empty) = 1 - p_0 = E0/S."""
+    e0 = _excess(model)[0]
+    return e0 / (1.0 + e0)
 
 
 def qos_report(model: QueueModel, tail_points=(0, 10, 100)) -> QosReport:
-    """Bundle mean, variance (when finite), utilization and tail table."""
+    """Bundle mean, variance (when finite), utilization and tail table:
+    one excess pass plus the single sums of the probabilities."""
     points = _points(tail_points, "tail point")
     p0 = pmf(model, 0)
     var = variance(model) if model.q > _TWO_THIRDS else None
@@ -225,7 +242,7 @@ def qos_report(model: QueueModel, tail_points=(0, 10, 100)) -> QosReport:
     return QosReport(
         mean=mean(model),
         variance=var,
-        utilization=1.0 - p0,
+        utilization=utilization(model),
         p0=p0,
         tail_exponent=asym.exponent,
         tail_coefficient=asym.coefficient,

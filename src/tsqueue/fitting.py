@@ -15,6 +15,7 @@ Two fit families are provided for rho as a function of beta:
 
 import math
 import operator
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .distribution import _validate_q
 from .errors import DomainError, NoConvergence, SingularFit
 from .norros import hurst_from_q, norros_rho
 from .solver import solve_beta
+from .zeta import _exp
 
 __all__ = [
     "CorrespondenceRecord",
@@ -75,6 +77,12 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
         raise DomainError(f"points must be an integer, got {points!r}") from None
     if points < 2:
         raise DomainError(f"need at least 2 grid points, got {points}")
+    span = _doubles_between(mean_min, mean_max)
+    if points > span:
+        raise DomainError(
+            f"points={points} exceeds the {span} doubles from mean_min to mean_max: "
+            "no grid of that many strictly increasing means exists"
+        )
     hurst = hurst_from_q(q)
     records = []
     for target in _mean_grid(mean_min, mean_max, points):
@@ -90,11 +98,22 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
     return records
 
 
+def _doubles_between(lo, hi):
+    """How many doubles lie in [lo, hi], for positive finite lo <= hi: the
+    bit patterns of positive doubles are ordered as their values."""
+    bits = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+    return bits[1] - bits[0] + 1
+
+
 def _mean_grid(lo, hi, n):
-    """``n`` means spaced evenly in log10 from ``lo`` to ``hi``, both exact."""
+    """``n`` means spaced evenly in log10 from ``lo`` to ``hi``, both exact,
+    yielded one at a time."""
     la = math.log10(lo)
     step = (math.log10(hi) - la) / (n - 1)
-    return [lo, *(math.pow(10.0, la + i * step) for i in range(1, n - 1)), hi]
+    yield lo
+    for i in range(1, n - 1):
+        yield math.pow(10.0, la + i * step)
+    yield hi
 
 
 def _columns(beta, rho, min_points):
@@ -227,7 +246,7 @@ def _variable_projection(start, beta, rho):
         def evaluate(theta, rows):
             """SSE, (c, eta, d, mu) and (p.p, p.e, e.e, det) at ``theta``,
             with (c, d) from the normal equations of (p, e)."""
-            eta, mu = math.exp(theta[0]), math.exp(theta[1])
+            eta, mu = _exp(theta[0]), _exp(theta[1])
             np.exp(np.array([[-eta], [-mu]]) * log_beta_beta, out=rows[1:3])
             (pr, pp, pe), (er, _, ee) = (rows[1:3] @ rows[:3].T).tolist()
             det = pp * ee - pe * pe

@@ -8,10 +8,13 @@ routines (and cross-checked against analytic identities) and are
 committed so unit tests do not depend on runtime recomputation.
 constraint_objective and reference_scaled_sum are the exceptions: they
 run the package's zeta pieces, to pin a formula or a loop, not a value.
+law_moments is an mpmath oracle for the mean, variance and utilization
+anywhere in the domain, corners included.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 PI2_OVER_6 = math.pi**2 / 6.0
@@ -165,3 +168,68 @@ def reference_scaled_sum(s, a):
         log_t = -s * math.log1p(n / a)
         t = math.exp(log_t)
     return zeta._total(terms, s, a, n, t, s_minus_1, rising_factors)
+
+
+def _mp_scaled_sum(s, a):
+    """S(s, a) = sum_{k>=0} (a/(a+k))**s at mpmath's working precision.
+
+    Direct terms run until the rest, at most the next term plus its
+    integral, is negligible, or until 2 pi (a + k) >= 10 (s + 2M), from
+    where Euler-Maclaurin's first M Bernoulli corrections shrink at least
+    100-fold each and reach the working precision.
+    """
+    eps = mpmath.mpf(10) ** -(mpmath.mp.dps + 2)
+    corrections = mpmath.mp.dps // 2 + 2
+    reach = 10 * (s + 2 * corrections) / (2 * mpmath.pi)
+    total, u = mpmath.mpf(0), a
+    while True:
+        t = (a / u) ** s
+        if t * (1 + u / (s - 1)) < eps * total:
+            return total
+        if u >= reach:
+            break
+        total += t
+        u += 1
+    total += t * u / (s - 1) + t / 2
+    rising, power = s, u  # (s)_(2j-1) and u**(2j-1)
+    for j in range(1, corrections + 1):
+        term = mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * rising * t / power
+        total += term
+        if abs(term) < eps * total:
+            return total
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        power *= u * u
+    raise ArithmeticError(f"Euler-Maclaurin did not converge at s={s}, a={a}")
+
+
+def mp_excess_sum(s, c, j):
+    """sum_{k>=1} k**j (c/(c+k))**s at mpmath's working precision.
+
+    Expanded as sum_i C(j,i) (-c)**(j-i) (c/(c+1))**s (c+1)**i S(s-i, c+1).
+    Its terms are at most sum_k (c+k)**j (c/(c+k))**s, which exceeds the
+    sum by a factor of about max(1, s)**j at most: the working precision
+    must cover that many digits besides those wanted.
+    """
+    a = c + 1
+    head = (c / a) ** s
+    return mpmath.fsum(mpmath.binomial(j, i) * (-c) ** (j - i) * head * a**i
+                       * _mp_scaled_sum(s - i, a) for i in range(j + 1))
+
+
+def law_moments(q, beta):
+    """(mean, variance, utilization) of the law at the exact binary values
+    of q and beta, as mpmath numbers; the variance is None for q <= 2/3.
+
+    With S = 1 + E0 and E_j = sum_{k>=1} k**j p_k S, the mean is E1/S,
+    the utilization E0/S and the variance E2/S - mean**2, at 45 + 2
+    log10(s) digits, of which mp_excess_sum loses at most 2 log10(s).
+    """
+    q, beta = mpmath.mpf(q), mpmath.mpf(beta)
+    digits = 45 + 2 * math.ceil(math.log10(float(1 / (1 - q))))
+    with mpmath.workdps(digits):
+        s, c = 1 / (1 - q), 1 / (beta * (1 - q))
+        e0, e1 = mp_excess_sum(s, c, 0), mp_excess_sum(s, c, 1)
+        total = 1 + e0
+        mean = e1 / total
+        variance = +(mp_excess_sum(s, c, 2) / total - mean**2) if 3 * q > 2 else None
+        return +mean, variance, +(e0 / total)

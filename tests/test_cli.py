@@ -117,6 +117,19 @@ class TestDistributionCommands:
         assert code == 0
         assert "q > 2/3" in out
 
+    def test_metrics_at_large_beta(self, capsys):
+        # The mean and utilization printed 0 here, next to P(i > 0) = 3.08e-19.
+        payload = run_json(capsys, "metrics", "--q", "0.9", "--beta", "700")
+        ref_mean, _, ref_utilization = oracles.law_moments(0.9, 700.0)
+        assert abs(payload["mean"] - ref_mean) <= 1e-14 * ref_mean
+        assert abs(payload["utilization"] - ref_utilization) <= 1e-14 * ref_utilization
+
+    def test_metrics_variance_near_q_one(self, capsys):
+        # The variance printed -1.78e13 here.
+        payload = run_json(capsys, "metrics", "--q", "0.999999999", "--beta", "1e-5")
+        ref_variance = oracles.law_moments(0.999999999, 1e-5)[1]
+        assert abs(payload["variance"] - ref_variance) <= 1e-14 * ref_variance
+
     def test_metrics_rejects_bad_q(self, capsys):
         code, _, err = run(capsys, "metrics", "--q", "1.2", "--beta", "1")
         assert code == 2
@@ -184,12 +197,20 @@ class TestSolverAndNorrosCommands:
         assert "converge" in err
 
     def test_bisection_stall_exits_three(self, capsys):
+        # No double beta meets a target below the mean's resolution.
         code, out, err = run(
-            capsys, "solve-beta", "--q", "0.999998200468878", "--mean", "422.3660131765974"
+            capsys, "solve-beta", "--q", "0.75", "--mean", "2", "--tol", "1e-20"
         )
         assert (code, out) == (3, "")
-        assert err == ("error: bisection stalled at beta=0.0023648248661590388 "
-                       "with residual 6.840235755589674e-08\n")
+        assert err == ("error: bisection stalled at beta=0.7477426482615261 "
+                       "with residual -2.220446049250313e-16\n")
+
+    def test_solve_beta_near_q_one(self, capsys):
+        # This exited 3: the mean's cancellation noise exceeded the target.
+        payload = run_json(capsys, "solve-beta", "--q", "0.999999", "--mean", "1e6")
+        ref_mean = oracles.law_moments(0.999999, payload["beta"])[0]
+        assert abs(ref_mean - 1e6) <= 1e-14 * 1e6
+        assert payload["residual"] <= 1e-10 * 1e6
 
 
 class TestGenerateAndFit:
@@ -337,10 +358,12 @@ class TestGenerateAndFit:
         assert not out
 
     def test_generate_solver_failure_exits_three(self, capsys):
-        code, out, err = run(capsys, "generate", "--q", "0.999999", "--mean-min", "100",
-                             "--mean-max", "1e6", "--points", "2")
+        # No double beta gives a mean of exactly 1e-320, the only subnormal
+        # within tol * 1e-320 of it.
+        code, out, err = run(capsys, "generate", "--q", "0.6", "--mean-min", "1e-320",
+                             "--mean-max", "1e-300", "--points", "2")
         assert (code, out) == (3, "")
-        assert err.startswith("error: beta solve failed at mean=1000000.0: bisection stalled")
+        assert err.startswith("error: beta solve failed at mean=1e-320: bisection stalled")
 
     def test_generate_json_round_trip(self, capsys):
         payload = run_json(capsys, "generate", "--q", "0.75", "--points", "5")

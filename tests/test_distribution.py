@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,13 @@ class TestMoment:
             with pytest.raises(MomentDoesNotExist):
                 moment(model, k)
 
+    @pytest.mark.parametrize("q,beta", [(0.999999999, 1e-5), (0.9, 700.0)])
+    def test_second_moment_against_oracle(self, q, beta):
+        # The binomial single sums read -1.78e13 and 3.17e-19 (2.8% high) here.
+        model = QueueModel(q, beta)
+        ref_mean, ref_variance, _ = oracles.law_moments(q, beta)
+        assert rel(moment(model, 2), ref_variance + ref_mean**2) <= 1e-14
+
     def test_rejects_zero_order(self):
         with pytest.raises(DomainError):
             moment(MODEL, 0)
@@ -273,7 +281,9 @@ class TestUtilization:
 class TestQosReport:
     def test_fields_and_invariants(self):
         report = qos_report(MODEL, (100, 0, 10))
-        assert report.utilization == 1.0 - report.p0
+        # The utilization is E0/S from the excess pass, p0 = 1/S from the single sum.
+        assert report.utilization == utilization(MODEL)
+        assert abs(report.utilization + report.p0 - 1.0) <= 1e-15
         assert [x for x, _ in report.tail_samples] == [0, 10, 100]
         probs = [p for _, p in report.tail_samples]
         assert all(x > y for x, y in zip(probs, probs[1:]))
@@ -285,3 +295,43 @@ class TestQosReport:
         assert qos_report(QueueModel(0.6, 1.0)).variance is None
         assert qos_report(QueueModel(2.0 / 3.0, 1.0)).variance is None
         assert qos_report(QueueModel(0.7, 1.0)).variance is not None
+
+
+class TestMomentsAgainstOracle:
+    """Mean, variance and utilization meet 1e-12 relative against mpmath,
+    down to the smallest normal double, or the call raises."""
+
+    @staticmethod
+    def check(q, beta):
+        model = QueueModel(q, beta)
+        ref_mean, ref_variance, ref_utilization = oracles.law_moments(q, beta)
+        floor = sys.float_info.min
+        assert abs(mean(model) - ref_mean) <= 1e-12 * ref_mean + floor, (q, beta)
+        assert abs(utilization(model) - ref_utilization) <= 1e-12 * ref_utilization + floor
+        if ref_variance is not None:
+            assert abs(variance(model) - ref_variance) <= 1e-12 * ref_variance + floor, (q, beta)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.booleans(),
+        st.floats(min_value=math.log(1e-8), max_value=math.log(0.45)),
+        st.floats(min_value=math.log(1e-8), max_value=math.log(1e4)),
+    )
+    def test_box(self, near_half, log_gap, log_beta):
+        # 2q - 1 or 1 - q log-uniform down to 1e-8, beta log-uniform in [1e-8, 1e4].
+        gap = math.exp(log_gap)
+        q = 0.5 + 0.5 * gap if near_half else 1.0 - gap
+        self.check(q, math.exp(log_beta))
+
+    @pytest.mark.parametrize("q,beta", [
+        (0.9, 700.0),          # the mean and utilization read 0: S - 1 cancelled
+        (0.999999999, 1e-5),   # the variance read -1.8e13: c**2 (r2 - r1**2) cancelled
+        (0.5000001, 1.0),      # s - 2 = 1/(1-q) - 2 lost 1.6e-10 relative
+    ])
+    def test_defect_points(self, q, beta):
+        model = QueueModel(q, beta)
+        ref_mean, ref_variance, ref_utilization = oracles.law_moments(q, beta)
+        assert rel(mean(model), ref_mean) <= 1e-14
+        assert rel(utilization(model), ref_utilization) <= 1e-14
+        if ref_variance is not None:
+            assert rel(variance(model), ref_variance) <= 1e-14

@@ -1,0 +1,109 @@
+"""The excess pass ``zeta.excess_sums``: its five series against mpmath,
+its identities with the single sum, its edges, and its bits.
+
+``tests/golden/excess-grid.txt`` pins the pass by ``repr`` over a grid of
+(q, c), so a change of one floating-point operation, or of the libm
+variant that evaluates its log1p and exp, fails it.  To capture again
+after an intended change of the arithmetic, run from the repo root:
+
+    PYTHONPATH=src python tests/test_excess.py
+"""
+
+import math
+from pathlib import Path
+
+import mpmath
+import pytest
+
+from tsqueue.errors import DomainError
+from tsqueue.zeta import excess_sums, scaled_hurwitz_zeta
+
+import oracles
+
+GOLDEN = Path(__file__).parent / "golden" / "excess-grid.txt"
+
+# 1 - q a power of two keeps s = 1/(1-q) exact, so the oracle and the pass
+# sum the same series; q = 0.6 and 0.5000001 do not, and s rounds.
+EXACT_Q = (0.75, 0.875, 1.0 - 2.0**-10, 1.0 - 2.0**-26)
+GRID_Q = EXACT_Q + (0.6, 0.5000001, 0.7, 0.95, 0.999999)
+GRID_C = (1e-3, 0.37, 1.0, 4.0, 12.5, 1e3, 1e7, 1e12)
+
+
+def _args(q, c):
+    return 1.0 / (1.0 - q), c, q
+
+
+def excess_grid_text():
+    return "".join(f"{q!r} {c!r} {excess_sums(*_args(q, c))!r}\n" for q in GRID_Q for c in GRID_C)
+
+
+def test_excess_grid_is_bit_identical():
+    assert excess_grid_text() == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("q", EXACT_Q)
+@pytest.mark.parametrize("c", GRID_C)
+def test_against_mpmath(q, c):
+    # Each series, in units of c**j, within 1e-12 relative or below the
+    # smallest normal double.  (sigma, j) for E0, E1, E2, G1 and H2.
+    got = excess_sums(*_args(q, c))
+    s = 1.0 / (1.0 - q)
+    with mpmath.workdps(45 + 2 * math.ceil(math.log10(s))):
+        for value, (shift, j) in zip(got, [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]):
+            ref = oracles.mp_excess_sum(mpmath.mpf(s + shift), mpmath.mpf(c), j) / mpmath.mpf(c) ** j
+            assert abs(value - ref) <= 1e-12 * ref + 2.3e-308, (q, c, shift, j)
+
+
+# Not q = 0.5000001: S(s-1, c) takes s - 2 = fl(s) - 2 there, 1.1e-9 off.
+@pytest.mark.parametrize("q", [q for q in GRID_Q if q != 0.5000001])
+@pytest.mark.parametrize("c", GRID_C)
+def test_identities_with_the_single_sum(q, c):
+    # S(s, c) = 1 + E0 and S(s-1, c) = 1 + E0 + E1, in units of c.
+    s = 1.0 / (1.0 - q)
+    e0, e1 = excess_sums(s, c, q)[:2]
+    assert abs(1.0 + e0 - scaled_hurwitz_zeta(s, c)) <= 1e-13 * (1.0 + e0)
+    assert abs(1.0 + e0 + e1 - scaled_hurwitz_zeta(s - 1.0, c)) <= 1e-13 * (1.0 + e0 + e1)
+
+
+def test_second_moment_diverges_at_or_below_two_thirds():
+    assert excess_sums(*_args(0.6, 1.0))[2] == math.inf
+    assert excess_sums(*_args(2.0 / 3.0, 1.0))[2] == math.inf
+    assert math.isfinite(excess_sums(*_args(math.nextafter(2.0 / 3.0, 1.0), 1.0))[2])
+
+
+def test_underflowed_terms_give_zero_sums():
+    # (1 + 1e100)**-4 underflows: every term and tail is below the smallest double.
+    assert excess_sums(*_args(0.75, 1e-100)) == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_tails_from_the_exact_first_term(monkeypatch):
+    # Where the cutoff lands on k = 0, no term but t_0 = exp2(-0.0) = 1 is
+    # read, so no last bit of libm's log1p or exp2 reaches the sums.
+    seen = []
+    for name in ("log1p", "exp2"):
+        real = getattr(math, name)
+        monkeypatch.setattr(math, name, lambda x, real=real: seen.append(x) or real(x))
+    e0 = excess_sums.__wrapped__(*_args(0.75, 1e7))[0]
+    assert seen == [0.0, -0.0]
+    assert e0 == pytest.approx(1e7 / 3.0 - 0.5)
+
+
+@pytest.mark.parametrize("s,c,q", [
+    (4.0, 0.0, 0.75), (4.0, -1.0, 0.75), (4.0, math.inf, 0.75), (4.0, math.nan, 0.75),
+    (4.0, 1.0, 0.5), (4.0, 1.0, 1.0), (2.0, 1.0, 0.75), (math.inf, 1.0, 0.75),
+    (3.0, 1.0, 0.75), (math.nextafter(4.0, 5.0), 1.0, 0.75),  # s must be 1/(1-q)
+])
+def test_rejects_arguments_outside_the_domain(s, c, q):
+    with pytest.raises(DomainError):
+        excess_sums(s, c, q)
+
+
+def test_memoized():
+    excess_sums(4.0, 3.25, 0.75)
+    before = excess_sums.cache_info().hits
+    excess_sums(4.0, 3.25, 0.75)
+    assert excess_sums.cache_info().hits == before + 1
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(excess_grid_text(), encoding="utf-8")

@@ -17,6 +17,7 @@ from tsqueue.fitting import (
 )
 from tsqueue.norros import norros_mean
 from tsqueue.solver import solve_beta
+from tsqueue.zeta import _exp
 
 
 GENERATE_CSV = Path(__file__).parent / "golden" / "generate.csv"
@@ -49,6 +50,17 @@ def projected_params(log_eta, log_mu, beta, rho):
 
 
 class TestGenerateCorrespondence:
+    def test_points_beyond_the_doubles_of_the_range_are_refused(self):
+        top = 1.0 + 4 * 2.0**-52  # the fifth double from 1.0
+        with pytest.raises(DomainError, match="exceeds the 5 doubles"):
+            generate_correspondence(0.75, 1.0, top, 6)
+        with pytest.raises(DomainError, match="exceeds the 44867111287678567 doubles"):
+            generate_correspondence(0.75, 0.1, 100.0, 10**20)
+
+    def test_mean_grid_is_lazy(self):
+        grid = fitting._mean_grid(0.1, 100.0, 10**20)
+        assert (next(grid), next(grid)) == (0.1, math.pow(10.0, -1.0 + 3.0 / (10**20 - 1)))
+
     def test_monotone_and_certified(self):
         records = generate_correspondence(0.75, 0.1, 50.0, 25)
         rhos = [r.rho for r in records]
@@ -88,16 +100,18 @@ class TestGenerateCorrespondence:
             generate_correspondence(0.75, 0.1, 100.0, points)
 
     def test_solver_failure_names_the_mean(self):
+        # The target tol * 1e-320 underflows to 0, and no double beta gives
+        # a mean of exactly 1e-320.
         with pytest.raises(NoConvergence) as info:
-            generate_correspondence(0.999999, 100.0, 1e6, 2)
+            generate_correspondence(0.6, 1e-320, 1e-300, 2)
         cause = info.value.__cause__
         assert isinstance(cause, NoConvergence)
-        assert str(cause) == ("bisection stalled at beta=1.000001499882919e-06 "
-                              "with residual -0.0005700075998902321")
-        assert str(info.value) == f"beta solve failed at mean=1000000.0: {cause}"
+        assert str(cause) == ("bisection stalled at beta=3.676739083350269e+128 "
+                              "with residual 5e-324")
+        assert str(info.value) == f"beta solve failed at mean=1e-320: {cause}"
         assert (info.value.beta, info.value.residual, info.value.iterations) == (
             cause.beta, cause.residual, cause.iterations)
-        assert cause.iterations == 2
+        assert cause.iterations == 48
 
     def test_integer_like_points_accepted(self):
         records = generate_correspondence(0.75, 0.1, 100.0, np.int64(3))
@@ -254,7 +268,7 @@ class TestModelII:
         run = fitting._variable_projection(start, beta, rho)
         converged, sse, (_, eta, _, mu), iterations = run
         assert (converged, sse, iterations) == (False, math.inf, 1)
-        assert (eta, mu) == (math.exp(start[0]), 1.0)
+        assert (eta, mu) == (_exp(start[0]), 1.0)
 
     def test_overflowing_jacobian_warns_nothing(self):
         # At rho ~ 1e160 the start's SSE is finite, but the Jacobian's sums
@@ -266,7 +280,7 @@ class TestModelII:
         run = fitting._variable_projection(start, beta, rho)
         converged, sse, (_, eta, _, mu), _ = run
         assert converged is False
-        assert (eta, mu) == (math.exp(start[0]), 1.0)
+        assert (eta, mu) == (_exp(start[0]), 1.0)
         assert math.isfinite(sse)  # its last bits depend on the host's numpy
 
     def test_noisy_own_law_converges(self):

@@ -69,7 +69,7 @@ class TestSolveBeta:
         target = mean(QueueModel(q, beta))
         result = solve_beta(q, target)
         assert rel(result.beta, beta) <= 1e-8
-        assert result.residual <= 1e-10 * max(1.0, target)
+        assert result.residual <= 1e-10 * target
 
     def test_near_boundary_geometric_guess(self):
         result = solve_beta(0.999, 1.0)
@@ -82,8 +82,8 @@ class TestSolveBeta:
         assert first == second
 
     def test_newton_answer_kept_when_halving_gives_out(self):
-        # Newton meets the residual target here; halving then cannot improve
-        # on it, which must end the solve rather than restart it.
+        # Newton meets the residual target here, and its next step moves
+        # nothing: that ends the solve, not the bracket.
         A = 86.85113737513525
         result = solve_beta(0.9, A)
         assert not result.fallback_used
@@ -98,32 +98,59 @@ class TestSolveBeta:
     def test_newton_alone_off_the_corner(self, log_one_minus_q, log_A):
         q, A = 1.0 - math.exp(log_one_minus_q), math.exp(log_A)
         result = solve_beta(q, A)
-        assert result.residual <= 1e-10 * max(1.0, A)
+        assert result.residual <= 1e-10 * A
         assert result.iterations <= 15
         assert not result.fallback_used
 
     def test_fallback_reaches_same_root(self):
-        target = mean(QueueModel(0.75, 1.0))
-        forced = solve_beta(0.75, target, beta0=1e6)
+        # Every term of q = 0.999 underflows at beta0 = 1e4: the pass gives
+        # no Newton step, and the solve starts from the bracket.
+        target = mean(QueueModel(0.999, 0.5))
+        forced = solve_beta(0.999, target, beta0=1e4)
         assert forced.fallback_used
-        assert rel(forced.beta, 1.0) <= 1e-8
+        assert rel(forced.beta, 0.5) <= 1e-8
 
     def test_degenerate_first_step_goes_to_the_bracket(self):
-        assert solve_beta(0.75, 2.0, beta0=1e6) == SolverResult(
-            beta=0.7477426482615257, iterations=25, residual=4.440892098500626e-16,
+        # The mean reads 0 at beta = 1e4, 5e3, 2.5e3 and 1250, where every
+        # term underflows: with no Newton step, the solve halves the
+        # bracket's closed end until the pass gives one.
+        assert solve_beta(0.999, 2.0, beta0=1e4) == SolverResult(
+            beta=0.4062062746222598, iterations=15, residual=4.440892098500626e-16,
             fallback_used=True)
 
     def test_bisection_stall_is_reported(self):
-        # Near q = 1 the mean's rounding noise exceeds the target: the solve
-        # doubles its open bracket's low end, takes geometric midpoints, and
-        # stalls once no double lies strictly inside the bracket.
-        message = ("bisection stalled at beta=0.0023648248661590388 "
-                   "with residual 6.840235755589674e-08")
+        # No double beta meets a target below the mean's resolution: Newton
+        # brackets the root between two adjacent doubles, its next step moves
+        # nothing, and no bisection point lies strictly inside the bracket.
+        message = ("bisection stalled at beta=0.7477426482615261 "
+                   "with residual -2.220446049250313e-16")
         with pytest.raises(NoConvergence) as info:
-            solve_beta(0.999998200468878, 422.3660131765974)
+            solve_beta(0.75, 2.0, tol=1e-20)
         assert str(info.value) == message
         assert (info.value.beta, info.value.residual, info.value.iterations) == (
-            0.0023648248661590388, 6.840235755589674e-08, 21)
+            0.7477426482615261, 2.220446049250313e-16, 6)
+
+    def test_pass_overflow_narrows_the_bracket(self):
+        # Near q = 1/2 a Newton step overshoots to a beta where E1 leaves the
+        # double range: the mean there is above every double, so the step
+        # becomes the bracket's low end, not an OverflowError.
+        A = 1.748981812557212e294
+        result = solve_beta(0.5000000000000016, A)
+        assert result.fallback_used
+        assert result.residual <= 1e-10 * A
+
+    def test_default_start_at_a_tiny_target(self):
+        # ln(1 + 1/A) is inf below A = 5.6e-309, where 1/A overflows: the
+        # default start is -ln A there, equal to it in doubles.
+        result = solve_beta(0.75, 1e-310)
+        assert result.residual <= 1e-10 * 1e-310
+
+    def test_target_is_relative(self):
+        # The old target, tol * max(1, A), let a mean 5% off pass at A = 1e-20.
+        result = solve_beta(0.75, 1e-20)
+        ref_mean = oracles.law_moments(0.75, result.beta)[0]
+        assert abs(ref_mean - 1e-20) <= 1e-14 * 1e-20
+        assert result.residual <= 1e-10 * 1e-20
 
     def test_no_convergence_reports_iterate(self):
         target = mean(QueueModel(0.75, 1.0))
