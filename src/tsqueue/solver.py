@@ -12,7 +12,7 @@ budget.  No step halving is needed: over 3,000 draws of the queries
 domain and the 500 figure-grid solves, no step left the bracket.
 
 newton_step keeps the paper's closed-form step on the raw constraint,
-from zeta.scaled_hurwitz_zeta_triple.
+read from the same pass.
 """
 
 import math
@@ -22,7 +22,7 @@ from typing import Optional
 
 from .distribution import QueueModel, _validate_q, _zeta_shift
 from .errors import DomainError, NoConvergence
-from .zeta import _exp, excess_sums, scaled_hurwitz_zeta_triple
+from .zeta import _exp, excess_sums
 
 __all__ = ["SolverResult", "newton_step", "solve_beta"]
 
@@ -50,29 +50,24 @@ def _validate_target(q, A):
         raise DomainError(f"target mean must be positive, got {A}")
 
 
-def _newton_increment(q, beta, A, c, s1, s0, s2):
-    """Newton increment at beta from s1 = S(s-1, c), s0 = S(s, c) and s2 = S(s+1, c);
-    inf where no finite step exists."""
-    r = A / c
-    denominator = s1 - (2.0 + r) * s0 + (1.0 + r) * s2
-    if abs(denominator) < 1e-300:
-        return math.inf
-    numerator = s1 - (1.0 + r) * s0
-    return beta * (1.0 - q) * numerator / denominator
-
-
 def newton_step(q: float, beta: float, A: float) -> float:
     """Closed-form Newton increment for the mean constraint.
 
-    Written in terms of the scaled sums S(sigma, c) = c**sigma *
-    zeta(sigma, c); the common c**(1-s) prefactor of the raw zeta form
-    cancels exactly, so the step is computable even where the individual
-    zeta values underflow.  It is inf where no finite step exists.
+    The paper's step on the raw constraint, beta (1-q) (S(s-1) - (1+r) S)
+    / (S(s-1) - (2+r) S + (1+r) S(s+1)) with r = A/c and the scaled sums
+    S(sigma) = c**sigma zeta(sigma, c), read from one excess pass: there
+    S(s-1) - S = E1, S - S(s+1) = G1 and E1 - G1 = H2, so neither the
+    numerator E1 - r (1 + E0) nor the denominator H2 - r G1 is a
+    difference of sums near 1.  It is inf where no finite step exists.
     """
     _validate_target(q, A)
     model = QueueModel(q, beta)
-    c = model.c
-    return _newton_increment(q, beta, A, c, *scaled_hurwitz_zeta_triple(model.s, c))
+    c, r = model.c, A / model.c
+    e0, e1, _, g1, h2 = excess_sums(model.s, c, model.q)
+    denominator = h2 - r * g1
+    if abs(denominator) < 1e-300:
+        return math.inf
+    return model.beta * (1.0 - model.q) * (e1 - r * (1.0 + e0)) / denominator
 
 
 def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float = 1e-10,
@@ -82,10 +77,12 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
     Newton iterates in (ln beta, ln mean) from beta0 (default
     ln((A+1)/A), the exact q -> 1 solution): each step is
     ln(mean/A) / (d ln mean / d ln c), read with the mean from one excess
-    pass.  Every mean evaluated narrows a bracket on the root.  A step
-    that leaves the bracket, or none where the pass gives no finite one,
-    is replaced by the bracket's geometric midpoint, or twice / half its
-    closed end while the other end is open, and fallback_used is set.
+    pass, or from the first term, ln mean = -s ln(1 + 1/c), where every
+    term underflows; a step is clamped to 700 in ln beta.  Every mean
+    evaluated narrows a bracket on the root.  A step that leaves the
+    bracket, or none where the pass gives no finite one, is replaced by
+    the bracket's geometric midpoint, or twice / half its closed end
+    while the other end is open, and fallback_used is set.
     The solve stops once |mean - A| <= tol * A after a step of at most
     tol in ln beta; the result's residual is |mean - A| at its beta.
     """
@@ -121,8 +118,10 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
             lo = max(lo, b)
         elif m < A:
             hi = min(hi, b)
-        slope = s * (h2 / e1 - g1 / total) if e1 > 0.0 else 0.0
-        if not 0.0 < slope < math.inf:  # every term underflowed, or the slope did
+        if e1 == 0.0:  # every term underflowed: step on the first, ln mean = -s ln(1 + 1/c)
+            return m - A, (-s * math.log1p(1.0 / c) - math.log(A)) * (1.0 + c) / s
+        slope = s * (h2 / e1 - g1 / total)
+        if not 0.0 < slope < math.inf:  # the slope underflowed or overflowed
             return m - A, math.nan
         ratio = m / A
         if 0.0 < ratio < math.inf:
@@ -138,7 +137,8 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
     resid, step = evaluate(beta)
     bisected = False
     for iterations in range(1, max_iter + 1):
-        candidate = beta * _exp(step) if abs(step) < 700.0 else math.nan
+        # A step is clamped to 700 in ln beta; a nan step stays nan.
+        candidate = beta * _exp(min(max(step, -700.0), 700.0))
         # A step below beta's resolution moves nothing: it ends the solve
         # at the target, and goes to the bracket short of it.
         if candidate == beta and abs(resid) <= target:

@@ -35,18 +35,7 @@ shifts a.  Both caches only skip repeated work: every value is
 computed by the same floating-point operations, in the same order, as
 without them.
 
-Each Newton iterate of the beta solver needs S(s-1, c), S(s, c) and
-S(s+1, c) at one shift c.  scaled_hurwitz_zeta_triple returns all three
-from one loop over n: the three cutoff searches run side by side and share
-log1p(n/a) and log(a+n), while each exponent keeps its own terms, exp,
-B14 test, tail, corrections and fsum, so each value equals the single
-sum's bit for bit.  The triple is not memoized, since no solve asks for
-the same (s, c) twice.  It is a second loop beside the single sum's, not
-one loop over a tuple of exponents: such a generic loop made single sums,
-which the library's other queries make, up to 35% slower.  The two loops
-share the tail and corrections (_total).
-
-The moments and the solver read excess_sums, a third loop over the terms
+The moments and the solver read excess_sums, a second loop over the terms
 k >= 1 of the law: one log1p and one exp2 per term feed five series
 (E0, E1, E2, G1, H2; see its docstring), from which the mean, the
 utilization, the variance and the slope of the mean follow as ratios,
@@ -62,8 +51,8 @@ No loop here is free of the libm variant glibc picks by CPU: a log1p or
 exp whose last bit differs reaches a sum where the term is large enough.
 The pass takes exp as exp2, which has one variant, so only log1p remains
 to it.  Over 30,000 (s, c) drawn across the figure domain, with glibc 2.36's
-AVX2 and FMA variants masked against unmasked, 23 passes, 16 triples and
-5 single sums differed in some last bit.
+AVX2 and FMA variants masked against unmasked, 23 passes and 5 single
+sums differed in some last bit.
 """
 
 import math
@@ -76,7 +65,6 @@ __all__ = [
     "hurwitz_zeta",
     "log_hurwitz_zeta",
     "scaled_hurwitz_zeta",
-    "scaled_hurwitz_zeta_triple",
     "excess_sums",
 ]
 
@@ -186,89 +174,6 @@ def _scaled_sum(s, a):
         log_t = neg_s * log1p(n / a)
         t = exp(log_t)
     return _total(terms, s, a, n, t, s_minus_1, rising_factors)
-
-
-def scaled_hurwitz_zeta_triple(s: float, a: float) -> tuple:
-    """Return (S(s-1, a), S(s, a), S(s+1, a)), each equal bit for bit to
-    scaled_hurwitz_zeta at that exponent.
-
-    One loop over n runs the three cutoff searches side by side, sharing
-    log1p(n/a) and log(a+n); it stops when the last search has stopped.
-    Raises what the first of scaled_hurwitz_zeta at s, s - 1 and s + 1
-    would raise.
-    """
-    s, a = float(s), float(a)
-    _check(s, a)
-    lo, hi = s - 1.0, s + 1.0
-    if lo <= 1.0:  # S(s-1) diverges; s + 1 > 1 is finite wherever s is
-        _scaled_sum(s, a)  # raises first where S(s) alone would
-        raise DomainError(f"zeta requires s > 1 (series diverges), got s={lo}")
-    base_lo, s14_lo, *tail_lo = _exponent_terms(lo)
-    base_mid, s14_mid, *tail_mid = _exponent_terms(s)
-    base_hi, s14_hi, *tail_hi = _exponent_terms(hi)
-    log, log1p, exp = math.log, math.log1p, math.exp
-    two_pi, log_rel_target = _TWO_PI, _LOG_REL_TARGET
-    neg_lo, neg_mid, neg_hi = -lo, -s, -hi
-
-    # Per exponent: its terms, partial sum, current term and its log, and
-    # its cutoff, None while its search runs.
-    terms_lo, terms_mid, terms_hi = [], [], []
-    append_lo, append_mid, append_hi = terms_lo.append, terms_mid.append, terms_hi.append
-    partial_lo = partial_mid = partial_hi = 0.0
-    t_lo = t_mid = t_hi = 1.0
-    log_t_lo = log_t_mid = log_t_hi = 0.0
-    n_lo = n_mid = n_hi = None
-    n = 0
-    while True:
-        an = a + n
-        span = two_pi * an
-        # Each search's stop test, as in _scaled_sum; 13 log(a+n) is shared.
-        log_an13 = 13.0 * log(an) if s14_lo <= span else 0.0  # s14_lo is the least
-        if n_lo is None:
-            if t_lo == 0.0 or (s14_lo <= span and (
-                    err := log_t_lo + base_lo - log_an13) <= log_rel_target + (
-                    partial_lo - 1.0 if partial_lo > 1.0 else 0.0) and (
-                    partial_lo <= 1.0 or err <= log_rel_target + log(partial_lo))):
-                n_lo = n
-            else:
-                append_lo(t_lo)
-                partial_lo += t_lo
-        if n_mid is None:
-            if t_mid == 0.0 or (s14_mid <= span and (
-                    err := log_t_mid + base_mid - log_an13) <= log_rel_target + (
-                    partial_mid - 1.0 if partial_mid > 1.0 else 0.0) and (
-                    partial_mid <= 1.0 or err <= log_rel_target + log(partial_mid))):
-                n_mid = n
-            else:
-                append_mid(t_mid)
-                partial_mid += t_mid
-        if n_hi is None:
-            if t_hi == 0.0 or (s14_hi <= span and (
-                    err := log_t_hi + base_hi - log_an13) <= log_rel_target + (
-                    partial_hi - 1.0 if partial_hi > 1.0 else 0.0) and (
-                    partial_hi <= 1.0 or err <= log_rel_target + log(partial_hi))):
-                n_hi = n
-            else:
-                append_hi(t_hi)
-                partial_hi += t_hi
-        if n_lo is not None and n_mid is not None and n_hi is not None:
-            break
-        n += 1
-        if n > _MAX_TERMS:
-            raise NoConvergence("Euler-Maclaurin cutoff search did not terminate")
-        log1p_n = log1p(n / a)
-        if n_lo is None:
-            log_t_lo = neg_lo * log1p_n
-            t_lo = exp(log_t_lo)
-        if n_mid is None:
-            log_t_mid = neg_mid * log1p_n
-            t_mid = exp(log_t_mid)
-        if n_hi is None:
-            log_t_hi = neg_hi * log1p_n
-            t_hi = exp(log_t_hi)
-    total_mid = _total(terms_mid, s, a, n_mid, t_mid, *tail_mid)
-    return (_total(terms_lo, lo, a, n_lo, t_lo, *tail_lo), total_mid,
-            _total(terms_hi, hi, a, n_hi, t_hi, *tail_hi))
 
 
 # Johansson's bound |B~_14(x)|/14! <= 4/(2*pi)**14 on the periodic

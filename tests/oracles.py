@@ -233,3 +233,27 @@ def law_moments(q, beta):
         mean = e1 / total
         variance = +(mp_excess_sum(s, c, 2) / total - mean**2) if 3 * q > 2 else None
         return +mean, variance, +(e0 / total)
+
+
+def newton_step(q, beta, A):
+    """The paper's raw-constraint Newton increment, beta (1-q) (S(s-1) -
+    (1+r) S(s)) / (S(s-1) - (2+r) S(s) + (1+r) S(s+1)) with r = A/c, at the
+    exact binary values of q, beta and A, as an mpmath number.
+
+    Its sums cancel to near 1 where c is small, so it runs at 80 digits and
+    doubles them until two runs agree to 1e-30 relative.
+    """
+    def step(digits):
+        with mpmath.workdps(digits):
+            qm, bm, am = mpmath.mpf(q), mpmath.mpf(beta), mpmath.mpf(A)
+            s, c = 1 / (1 - qm), 1 / (bm * (1 - qm))
+            s1, s0, s2 = (_mp_scaled_sum(s + d, c) for d in (-1, 0, 1))
+            r = am / c
+            return +(bm * (1 - qm) * (s1 - (1 + r) * s0) / (s1 - (2 + r) * s0 + (1 + r) * s2))
+
+    digits, value = 80, step(80)
+    while True:
+        digits *= 2
+        value, last = step(digits), value
+        if abs(value - last) <= abs(value) * mpmath.mpf(10) ** -30:
+            return value

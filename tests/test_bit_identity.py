@@ -4,9 +4,8 @@ Speed work on ``tsqueue.zeta`` and ``tsqueue.solver`` must not change one
 floating-point operation.  These tests compare ``repr`` strings, so any
 last-bit change fails, against captures under ``tests/golden/``:
 
-- ``zeta-grid.txt``: S(sigma, a) for sigma in {s-1, s, s+1, s-2} (where
-  sigma > 1) over a log grid of s and a, which the single sum and the
-  solver's three-sum ``scaled_hurwitz_zeta_triple`` must both reproduce;
+- ``zeta-grid.txt``: the single sum S(sigma, a) for sigma in
+  {s-1, s, s+1, s-2} (where sigma > 1) over a log grid of s and a;
 - ``solver-grid.txt``: the full ``SolverResult`` on the default figure
   grids (6 q x 50 means from ``tsqueue.fitting``'s own mean grid, so the
   targets are the ones ``generate`` and ``figure`` solve for) and on the
@@ -26,7 +25,7 @@ from pathlib import Path
 from tsqueue.distribution import QueueModel, mean
 from tsqueue.fitting import _mean_grid
 from tsqueue.solver import solve_beta
-from tsqueue.zeta import scaled_hurwitz_zeta, scaled_hurwitz_zeta_triple
+from tsqueue.zeta import scaled_hurwitz_zeta
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,17 +61,6 @@ CAPTURES = {"zeta-grid.txt": zeta_grid_text, "solver-grid.txt": solver_grid_text
 
 def test_zeta_grid_is_bit_identical():
     assert zeta_grid_text() == (GOLDEN / "zeta-grid.txt").read_text(encoding="utf-8")
-
-
-def test_triple_reproduces_zeta_grid():
-    golden = {}
-    for line in (GOLDEN / "zeta-grid.txt").read_text(encoding="utf-8").splitlines():
-        sigma, a, value = line.split()
-        golden[sigma, a] = value
-    for s in ZETA_S:
-        for a in ZETA_A:
-            expected = tuple(golden[repr(sigma), repr(a)] for sigma in (s - 1.0, s, s + 1.0))
-            assert tuple(map(repr, scaled_hurwitz_zeta_triple(s, a))) == expected, (s, a)
 
 
 def test_solver_grid_is_bit_identical():

@@ -58,8 +58,19 @@ class TestNewtonStep:
         assert rel(step, expected) <= 1e-5
 
     def test_no_finite_step_is_infinite(self):
-        # At beta = 1e6 the three sums are 1 to rounding: the denominator is 0.
-        assert newton_step(0.75, 1e6, 2.0) == math.inf
+        # At beta = 1e100 every term underflows: the denominator is 0.
+        assert newton_step(0.75, 1e100, 2.0) == math.inf
+
+    @pytest.mark.parametrize("q,beta,A", [
+        (0.75, 1e6, 2.0),
+        (0.9611160974344577, 73.93944405090407, 12.94402750144653),
+        (0.9875848085721343, 35.16524445083622, 0.7622031773302462),
+        (0.9758975933309318, 71.7856506320362, 1.4030073250196875),
+    ])
+    def test_matches_mpmath_where_the_sums_are_near_one(self, q, beta, A):
+        # S(s-1), S(s) and S(s+1) are near 1 here: a step formed from those
+        # sums cancels (to inf at the first and last point).
+        assert rel(newton_step(q, beta, A), oracles.newton_step(q, beta, A)) <= 1e-14
 
 
 class TestSolveBeta:
@@ -103,20 +114,40 @@ class TestSolveBeta:
         assert not result.fallback_used
 
     def test_fallback_reaches_same_root(self):
-        # Every term of q = 0.999 underflows at beta0 = 1e4: the pass gives
-        # no Newton step, and the solve starts from the bracket.
-        target = mean(QueueModel(0.999, 0.5))
-        forced = solve_beta(0.999, target, beta0=1e4)
-        assert forced.fallback_used
-        assert rel(forced.beta, 0.5) <= 1e-8
+        # At beta = 727 on the way from beta0 the sums are subnormal and the
+        # pass gives no Newton step: the solve halves the bracket's closed end.
+        q, A = 0.9999999809743807, 2.416879911419902e-156
+        forced = solve_beta(q, A, beta0=4.8226660066928306e101)
+        direct = solve_beta(q, A)
+        assert forced.fallback_used and not direct.fallback_used
+        assert rel(forced.beta, direct.beta) <= 1e-8
 
     def test_degenerate_first_step_goes_to_the_bracket(self):
-        # The mean reads 0 at beta = 1e4, 5e3, 2.5e3 and 1250, where every
-        # term underflows: with no Newton step, the solve halves the
-        # bracket's closed end until the pass gives one.
-        assert solve_beta(0.999, 2.0, beta0=1e4) == SolverResult(
-            beta=0.4062062746222598, iterations=15, residual=4.440892098500626e-16,
+        # Every term underflows from beta0 down to beta = 1573, so each step
+        # there is taken on the first term; at beta = 727 the slope reads
+        # negative in subnormal sums, and the solve takes hi/2 once.
+        assert solve_beta(0.9999999809743807, 2.416879911419902e-156,
+                          beta0=4.8226660066928306e101) == SolverResult(
+            beta=358.32201848005184, iterations=17, residual=2.3236933129811655e-169,
             fallback_used=True)
+
+    # From each start every term underflows, or (the last) the first step
+    # passes 700 in ln beta.  Bisecting instead, the solve halves or doubles
+    # the bracket's closed end once per iteration: 15 and 68 iterations for
+    # the first two starts, more than 100 for the other three.
+    @pytest.mark.parametrize("q,A,beta0,iterations", [
+        (0.999, 2.0, 1e4, 12),
+        (0.75, 2.0, 1e100, 7),
+        (0.6, 1e-300, 1e300, 3),
+        (0.99, 50.0, 1e200, 9),
+        (0.5970733123689003, 8.605769467536962e-142, 7.137516591517388e-243, 3),  # clamped
+    ])
+    def test_newton_from_an_open_bracket_end(self, q, A, beta0, iterations):
+        result = solve_beta(q, A, beta0=beta0)
+        assert not result.fallback_used
+        assert result.iterations == iterations
+        assert result.residual <= 1e-10 * A
+        assert rel(result.beta, solve_beta(q, A).beta) <= 1e-8
 
     def test_bisection_stall_is_reported(self):
         # No double beta meets a target below the mean's resolution: Newton

@@ -10,10 +10,10 @@ from tsqueue.errors import DomainError, NoConvergence
 from tsqueue import zeta
 from tsqueue.zeta import (
     _scaled_sum,
+    excess_sums,
     hurwitz_zeta,
     log_hurwitz_zeta,
     scaled_hurwitz_zeta,
-    scaled_hurwitz_zeta_triple,
 )
 
 import oracles
@@ -126,58 +126,12 @@ def _outcome(func, *args):
         return type(exc), str(exc)
 
 
-def _single_sums(s, a):
-    """repr of (S(s-1), S(s), S(s+1)) by three single calls, or what the
-    first of them to raise, in the solver's order s, s-1, s+1, raises."""
-    try:
-        mid = scaled_hurwitz_zeta(s, a)
-        lo = scaled_hurwitz_zeta(s - 1.0, a)
-        hi = scaled_hurwitz_zeta(s + 1.0, a)
-    except (DomainError, OverflowError, NoConvergence) as exc:
-        return type(exc), str(exc)
-    return repr((lo, mid, hi))
-
-
-class TestTriple:
-    @settings(max_examples=400, derandomize=True, deadline=None)
-    @given(
-        st.floats(min_value=-4.0, max_value=6.0),
-        st.floats(min_value=-4.0, max_value=13.0),
-    )
-    def test_equals_three_single_sums(self, log10_excess, log10_a):
-        # s - 2 log-uniform in [1e-4, 1e6], a log-uniform in [1e-4, 1e13]
-        s, a = 2.0 + 10.0**log10_excess, 10.0**log10_a
-        assert _outcome(scaled_hurwitz_zeta_triple, s, a) == _single_sums(s, a)
-
-    @pytest.mark.parametrize("s,a", [
-        (2.0, 1.0),              # S(s-1) diverges
-        (1.5, 1.0),
-        (0.5, 1.0),              # S(s) diverges: named first
-        (3.0, 0.0),
-        (3.0, math.nan),
-        (math.inf, 1.0),
-        (1.0000000001, 1e299),   # S(s) overflows before S(s-1) is refused
-    ])
-    def test_raises_as_the_first_single_sum(self, s, a):
-        expected = _single_sums(s, a)
-        assert isinstance(expected, tuple)
-        assert _outcome(scaled_hurwitz_zeta_triple, s, a) == expected
-
-
 def _lemma_holds(p):
     """fl(log p) <= fl(p - 1), and so L + log p <= L + (p - 1) at the
     cutoff's L: the precheck never stops a search that the full test
     would not stop."""
     target = math.log(1e-15)
     return math.log(p) <= p - 1.0 and target + math.log(p) <= target + (p - 1.0)
-
-
-def _reference_triple(s, a):
-    """The reference's (S(s-1), S(s), S(s+1)), computed in the solver's
-    order s, s-1, s+1, so the first of them to raise raises."""
-    mid = oracles.reference_scaled_sum(s, a)
-    return (oracles.reference_scaled_sum(s - 1.0, a), mid,
-            oracles.reference_scaled_sum(s + 1.0, a))
 
 
 class TestCutoffPrecheck:
@@ -208,7 +162,10 @@ class TestCutoffPrecheck:
         s, a = 2.0 + 10.0**log10_excess, 10.0**log10_a
         assert _outcome(_scaled_sum.__wrapped__, s, a) == _outcome(
             oracles.reference_scaled_sum, s, a)
-        assert _outcome(scaled_hurwitz_zeta_triple, s, a) == _outcome(_reference_triple, s, a)
+
+
+# Each zeta loop, with arguments that need more than one direct term.
+_BUDGET_CALLS = {scaled_hurwitz_zeta: (3.25, 0.125), excess_sums: (4.0, 0.125, 0.75)}
 
 
 class TestDomainAndRange:
@@ -242,15 +199,14 @@ class TestDomainAndRange:
         message = f"scaled zeta sum overflows for s={s}, a={s}"
         with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
             scaled_hurwitz_zeta(s, s)
-        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
-            scaled_hurwitz_zeta_triple(s, s)
 
-    @pytest.mark.parametrize("loop", [scaled_hurwitz_zeta, scaled_hurwitz_zeta_triple])
+    @pytest.mark.parametrize("loop", list(_BUDGET_CALLS))
     def test_term_budget_raises_no_convergence(self, monkeypatch, loop):
         monkeypatch.setattr(zeta, "_MAX_TERMS", 1)
         _scaled_sum.cache_clear()
+        excess_sums.cache_clear()
         with pytest.raises(NoConvergence, match="cutoff search did not terminate"):
-            loop(3.25, 0.125)
+            loop(*_BUDGET_CALLS[loop])
 
     def test_underflow_directs_to_log_variant(self):
         with pytest.raises(OverflowError):
