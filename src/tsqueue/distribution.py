@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, MomentDoesNotExist
+from .errors import DomainError, MomentDoesNotExist, NoConvergence
 from .zeta import excess_sums, scaled_hurwitz_zeta
 
 __all__ = [
@@ -188,8 +188,8 @@ def mean(model: QueueModel) -> float:
 def moment(model: QueueModel, k) -> float:
     """E[i**k], finite only for q > k/(k+1).
 
-    Expands i**k = ((c+i) - c)**k binomially, turning the series into
-    zeta(s-j, c) ratios that are exact to zeta precision.
+    For k >= 3, expands i**k = ((c+i) - c)**k binomially into zeta(s-j, c) ratios,
+    each good to about 1e-13, and raises NoConvergence where their sum cancels below 1e-10.
     """
     k = _index(k, "k")
     if k < 1:
@@ -209,7 +209,10 @@ def moment(model: QueueModel, k) -> float:
         math.comb(k, j) * (-1.0) ** (k - j) * math.exp(_log_scaled(s - j, c) - log_s0)
         for j in range(k + 1)
     ]
-    return c**k * math.fsum(terms)
+    total = math.fsum(terms)
+    if not math.fsum(map(abs, terms)) * 1e-13 <= 1e-10 * abs(total):
+        raise NoConvergence(f"E[i^{k}]'s binomial sum cancels at q={model.q}, beta={model.beta}")
+    return c**k * total
 
 
 def variance(model: QueueModel) -> float:

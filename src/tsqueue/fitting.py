@@ -36,6 +36,7 @@ __all__ = [
 
 _GRADIENT_TOL = 1e-10
 _MAX_GN_ITER = 500
+_MAX_POINTS = 10**6  # about a minute, at 40-80 us per point
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,9 @@ class FitReport:
 
 
 def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
-    """Records for ``points`` means log-spaced from ``mean_min`` to
-    ``mean_max``, sorted by ascending mean."""
+    """Records for ``points`` (2 to 1,000,000) means log-spaced from
+    ``mean_min`` to ``mean_max``, sorted by ascending mean.  Each solve but
+    the first starts from the previous mean's beta, a cached excess pass."""
     _validate_q(q)
     for name, value in (("mean_min", mean_min), ("mean_max", mean_max)):
         if not math.isfinite(value):
@@ -83,11 +85,13 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
             f"points={points} exceeds the {span} doubles from mean_min to mean_max: "
             "no grid of that many strictly increasing means exists"
         )
+    if points > _MAX_POINTS:
+        raise DomainError(f"points={points} exceeds the maximum of {_MAX_POINTS}")
     hurst = hurst_from_q(q)
-    records = []
+    records, beta = [], None
     for target in _mean_grid(mean_min, mean_max, points):
         try:
-            beta = solve_beta(q, target).beta
+            beta = solve_beta(q, target, beta0=beta).beta
         except NoConvergence as exc:
             raise NoConvergence(
                 f"beta solve failed at mean={target}: {exc}",

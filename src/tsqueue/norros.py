@@ -6,15 +6,16 @@ with traffic intensity rho and Hurst parameter H:
     mean = rho**(1/(2(1-H))) / (1-rho)**(H/(1-H)),
 
 which reduces to the M/M/1 mean rho/(1-rho) at H = 1/2.  Its inverse is
-found from the substituted form g(p) = p**(2H) * Y + p - 1 with
-p = 1 - rho and Y = mean**(2(1-H)); g is strictly increasing on (0, 1)
-with a sign change, so the root is unique.  The entropy index is tied to
+the root of the convex f(x) = b softplus(x) - a softplus(-x) - ln mean in
+the logit x = ln(rho/(1-rho)), with a = 1/(2(1-H)), b = H/(1-H) and
+f' = a(1-rho) + b rho in [a, b].  The entropy index is tied to
 self-similarity by q = 1.5 - H.
 """
 
 import math
 
 from .errors import DomainError
+from .zeta import _exp
 
 __all__ = ["norros_mean", "norros_rho", "q_from_hurst", "hurst_from_q"]
 
@@ -44,31 +45,38 @@ def norros_mean(rho: float, hurst: float) -> float:
 
 
 def norros_rho(mean: float, hurst: float) -> float:
-    """Invert the storage model: the unique rho in (0, 1) for this mean.
+    """The storage model's rho, to about 1e-16 (1 + |ln mean|) relative; 1.0
+    where 1 - rho < 2**-54, as no double lies nearer.
 
-    Bisection on the guaranteed bracket (0, 1) down to 1e-12, then two
-    Newton polish steps; the residual of g ends up at machine level.
+    Newton on f from x0 = ln(mean)/a below mean = 1, ln(mean)/b above, where
+    f(x0) >= 0: the corrections stay positive until one is below 4e-16
+    max(1, |x|) or of the wrong sign (rounding noise).  Below rho = 1/2, rho
+    is e/(1+e), e = exp(x); above, 1 - p, with p = 1 - rho polished by one
+    Newton step on p**(2H) mean**(2(1-H)) + p - 1 = 0.
     """
     if not (math.isfinite(mean) and mean > 0.0):
         raise DomainError(f"mean must be positive, got {mean}")
     _validate_hurst(hurst)
-    y = mean ** (2.0 * (1.0 - hurst))
-    two_h = 2.0 * hurst
-
-    def g(p):
-        return p**two_h * y + p - 1.0
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
+    one_minus_h = 1.0 - hurst
+    a, b = 0.5 / one_minus_h, hurst / one_minus_h
+    log_mean = math.log(mean)
+    x = log_mean / (a if mean < 1.0 else b)
+    dx = math.inf
+    while dx > 4e-16 * max(1.0, abs(x)):
+        e = _exp(-abs(x))
+        soft = math.log1p(e)  # softplus(-|x|)
+        lower = e / (1.0 + e)  # min(rho, 1 - rho)
+        if x < 0.0:
+            f, slope = b * soft - a * (soft - x), a + (b - a) * lower
         else:
-            hi = mid
-    p = 0.5 * (lo + hi)
-    for _ in range(2):
-        slope = two_h * p ** (two_h - 1.0) * y + 1.0
-        p -= g(p) / slope
+            f, slope = b * (x + soft) - a * soft, b - (b - a) * lower
+        dx = (f - log_mean) / slope
+        x -= dx
+    e = _exp(-abs(x))
+    if x < 0.0:
+        return e / (1.0 + e)
+    p, y, two_h = e / (1.0 + e), mean ** (2.0 * one_minus_h), 2.0 * hurst
+    p -= (p**two_h * y + p - 1.0) / (two_h * p ** (two_h - 1.0) * y + 1.0)
     return 1.0 - p
 
 

@@ -9,7 +9,8 @@ committed so unit tests do not depend on runtime recomputation.
 constraint_objective and reference_scaled_sum are the exceptions: they
 run the package's zeta pieces, to pin a formula or a loop, not a value.
 law_moments is an mpmath oracle for the mean, variance and utilization
-anywhere in the domain, corners included.
+anywhere in the domain, corners included; norros_rho is one for the
+storage model's inverse.
 """
 
 import math
@@ -257,3 +258,24 @@ def newton_step(q, beta, A):
         value, last = step(digits), value
         if abs(value - last) <= abs(value) * mpmath.mpf(10) ** -30:
             return value
+
+
+def norros_rho(mean, hurst):
+    """The storage model's rho at the exact binary values of mean and hurst,
+    as an mpmath number: the root of b softplus(x) - a softplus(-x) = ln mean
+    in the logit x = ln(rho/(1-rho)), a = 1/(2(1-H)), b = H/(1-H), by
+    Newton at 60 digits (f is convex and increasing, and the start is at or
+    right of the root).
+    """
+    with mpmath.workdps(60):
+        h, log_mean = mpmath.mpf(hurst), mpmath.log(mpmath.mpf(mean))
+        a, b = 1 / (2 * (1 - h)), h / (1 - h)
+        x = log_mean / (a if log_mean < 0 else b)
+        for _ in range(200):
+            rho = 1 / (1 + mpmath.exp(-x))
+            f = b * mpmath.log1p(mpmath.exp(x)) - a * mpmath.log1p(mpmath.exp(-x)) - log_mean
+            dx = f / (a + (b - a) * rho)
+            x -= dx
+            if abs(dx) <= mpmath.mpf(10) ** -55 * max(1, abs(x)):
+                return +(1 / (1 + mpmath.exp(-x)))
+    raise ArithmeticError(f"no logit root for mean={mean}, hurst={hurst}")

@@ -159,6 +159,13 @@ class TestSolverAndNorrosCommands:
         payload = run_json(capsys, "norros-rho", "--mean", "2", "--hurst", "0.75")
         assert payload["value"] == pytest.approx(0.5, abs=1e-10)
 
+    def test_norros_rho_at_a_tiny_mean(self, capsys):
+        # This printed 0: 1 - rho, solved for and subtracted from 1, cancelled.
+        code, out, err = run(capsys, "norros-rho", "--mean", "1e-40", "--hurst", "0.75")
+        assert code == 0, err
+        ref = oracles.norros_rho(1e-40, 0.75)
+        assert abs(float(out) - ref) <= 1e-14 * ref
+
     def test_norros_mean_overflow_names_its_inputs(self, capsys):
         code, out, err = run(capsys, "norros-mean", "--rho", "0.999999999999",
                              "--hurst", "0.99")

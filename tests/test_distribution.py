@@ -18,7 +18,7 @@ from tsqueue.distribution import (
     utilization,
     variance,
 )
-from tsqueue.errors import DomainError, MomentDoesNotExist
+from tsqueue.errors import DomainError, MomentDoesNotExist, NoConvergence
 from tsqueue.solver import solve_beta
 
 import oracles
@@ -231,6 +231,22 @@ class TestMoment:
         model = QueueModel(q, beta)
         ref_mean, ref_variance, _ = oracles.law_moments(q, beta)
         assert rel(moment(model, 2), ref_variance + ref_mean**2) <= 1e-14
+
+    @pytest.mark.parametrize("q,beta", [(0.999999999, 1e-5), (0.9, 700.0)])
+    def test_third_moment_raises_where_it_cancels(self, q, beta):
+        # The binomial single sums read 1.78e27 (mpmath: 6.0e15) and 0.25% off here.
+        with pytest.raises(NoConvergence, match="cancels"):
+            moment(QueueModel(q, beta), 3)
+
+    def test_third_moment_against_oracle(self):
+        # E[i^3] = E3/S, at the exact binary values of q and beta.
+        mp = oracles.mpmath
+        with mp.workdps(45):
+            one_minus_q = 1 - mp.mpf(0.9)
+            s, c = 1 / one_minus_q, 1 / one_minus_q
+            e0, e3 = (oracles.mp_excess_sum(s, c, j) for j in (0, 3))
+            ref = e3 / (1 + e0)
+        assert rel(moment(QueueModel(0.9, 1.0), 3), ref) <= 1e-12
 
     def test_rejects_zero_order(self):
         with pytest.raises(DomainError):

@@ -83,9 +83,9 @@ EXTREMES = ["0", "-0", "5e-324", "1e-308", "0.5", "1", "1e154", "1e155", "1e200"
 INTEGERS = ["0", "-0", "1", "-1", str(10**20), str(10**400)]
 # q has no valid value among the extremes: add some from (1/2, 1).
 Q_VALUES = EXTREMES + ["0.5000001", "0.75", "0.999999"]
-# A --points above the number of doubles between the grid's ends is refused
-# before the first solve.
-POINTS = ["0", "-0", "1", "-1", "2", str(10**20)]
+# A --points above 1,000,000 or the number of doubles between the grid's ends
+# is refused before the first solve.
+POINTS = ["0", "-0", "1", "-1", "2", str(10**6 + 1), str(10**16), str(10**20)]
 VALUES = {"--q": Q_VALUES, "--q-list": Q_VALUES, "--points": POINTS}
 
 GRID = {"--mean-min": "0.1", "--mean-max": "100"}

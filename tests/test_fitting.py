@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsqueue import fitting
+from tsqueue import fitting, zeta
 from tsqueue.distribution import QueueModel, mean
 from tsqueue.errors import DomainError, NoConvergence, SingularFit
 from tsqueue.fitting import (
@@ -19,6 +19,7 @@ from tsqueue.norros import norros_mean
 from tsqueue.solver import solve_beta
 from tsqueue.zeta import _exp
 
+import oracles
 
 GENERATE_CSV = Path(__file__).parent / "golden" / "generate.csv"
 # Model II's own law with 1% multiplicative noise, 36 points: file 143 of the
@@ -56,6 +57,20 @@ class TestGenerateCorrespondence:
             generate_correspondence(0.75, 1.0, top, 6)
         with pytest.raises(DomainError, match="exceeds the 44867111287678567 doubles"):
             generate_correspondence(0.75, 0.1, 100.0, 10**20)
+
+    def test_points_above_the_maximum_are_refused(self):
+        with pytest.raises(DomainError, match="points=1000001 exceeds the maximum of 1000000"):
+            generate_correspondence(0.75, 0.1, 100.0, 10**6 + 1)
+
+    @pytest.mark.parametrize("q", [0.6, 0.7, 0.8, 0.9, 0.95])
+    def test_grid_solves_from_the_previous_beta(self, q):
+        # Started cold from ln(1 + 1/A), the 50 solves took 234-286 passes.
+        zeta.excess_sums.cache_clear()
+        records = generate_correspondence(q)
+        assert zeta.excess_sums.cache_info().misses <= 200
+        if q == 0.6:
+            for r in records:
+                assert abs(oracles.law_moments(q, r.beta)[0] - r.mean) <= 1e-10 * r.mean
 
     def test_mean_grid_is_lazy(self):
         grid = fitting._mean_grid(0.1, 100.0, 10**20)

@@ -12,6 +12,8 @@ from tsqueue.norros import (
     q_from_hurst,
 )
 
+import oracles
+
 RHO_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 H_GRID = [0.5, 0.6, 0.75, 0.9]
 
@@ -67,6 +69,23 @@ class TestNorrosRho:
         y = mean ** (2.0 * (1.0 - hurst))
         p = 1.0 - solved
         assert abs(p ** (2.0 * hurst) * y + p - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("mean", [1e-40, 1e-20, 1e300])
+    def test_against_oracle(self, mean):
+        # A bisection for 1 - rho read 0.0, 1.0000000827e-10 (8e-8 off) and
+        # 0.9999999999999495 (5e-14 off; rho = 1 - 1e-100 rounds to 1.0) here.
+        ref = oracles.norros_rho(mean, 0.75)
+        assert abs(norros_rho(mean, 0.75) - ref) <= 1e-14 * ref
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.floats(min_value=-300.0, max_value=300.0),
+           st.floats(min_value=0.5, max_value=0.9999999999999999))
+    def test_whole_domain_against_oracle(self, log10_mean, hurst):
+        # ln mean itself is rounded to about 1e-16 |ln mean|, and rho's
+        # relative error inherits at most that.
+        mean = 10.0**log10_mean
+        ref = oracles.norros_rho(mean, hurst)
+        assert abs(norros_rho(mean, hurst) - ref) <= 1e-15 * (1 + abs(math.log(mean))) * ref
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
