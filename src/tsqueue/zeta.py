@@ -8,51 +8,44 @@ here works with the scaled series
     S(s, a) = a**s * zeta(s, a) = sum_{k>=0} (a / (a + k))**s,
 
 whose leading term is exactly 1 and whose value never exceeds
-1 + a/(s - 1).  S is evaluated by Euler-Maclaurin summation: direct terms
-up to an adaptive cutoff N, then the integral tail (a+N)**(1-s)/(s-1),
-the half-term correction, and Bernoulli corrections through B12.  N is
-chosen so the first omitted correction (the B14 term, a rigorous
-remainder bound for this completely monotone summand) stays below 1e-15
-of the accumulated sum, which keeps the total relative error near 1e-14
-over the supported range.
+1 + a/(s - 1).  Both loops here sum by Euler-Maclaurin under one rule:
+direct terms t_k = (1 + k/a)**(-s) up to a cutoff N, each one log1p and
+one exp2, then the integral tail, the half-term and seven Bernoulli
+corrections (B2..B14) from Y = a + N.  N is the first k with
+2 pi Y >= s + 15, where the corrections decrease, at which Johansson's
+rigorous bound on the remainder (arXiv:1309.2877, section 2: 4/(2 pi)**14
+times the integral of |f^(14)| from N) stays below 1e-16 of the partial
+sum plus the integral tail, tested in linear space.  At N = 0 the tails
+start at the exact term t_0 = 1.  A term that underflows ends a loop, as
+every tail is then below the smallest double.
 
-That cutoff test, log_err <= log(1e-15) + log(partial), first compares
-log_err with log(1e-15) + (partial - 1) and takes log(partial) only where
-that passes.  For every double p > 1, fl(log p) <= fl(p - 1): on (1, 2]
-p - 1 is exact and a faithful log cannot round past it, and above 2 the
-gap p - 1 - log p exceeds 0.3 (p - 1).  Rounding of + is monotone, so the
-precheck fails only where the full test fails, and every cutoff N, and so
-every value and error, is the one the full test alone gives.  It must be
-grouped as log(1e-15) + (partial - 1), not (log(1e-15) + partial) - 1,
-whose rounding the lemma does not cover.
-
+The single sum S is _scaled_sum.  For f = (1 + x/a)**(-s) the integral of
+|f^(14)| from N is (s)_13 t_N / Y**13, which its test takes as
+P(s) (s/Y)**13 t_N with P(s) = (s)_13 / s**13: s/Y < 2 pi wherever the
+test runs, so the bound is finite at every s, and so is each correction.
 The last 1,024 values of S are cached by (s, a): one qos_report reads its
 few sums more than once, and a figure-4 row reads S(s, c) once per
-threshold.  What an evaluation needs of s alone (the B14 bound's 13
-logarithms, s + 14, s - 1 and the Bernoulli terms' rising factors) is
-cached by s, as a solve or a figure evaluates one exponent at many
-shifts a.  Both caches only skip repeated work: every value is
-computed by the same floating-point operations, in the same order, as
-without them.
+threshold.  P(s) and the corrections' factors are cached by s, as a solve
+or a figure evaluates one exponent at many shifts a.  Both caches only
+skip repeated work: every value is computed by the same floating-point
+operations, in the same order, as without them.
 
-The moments and the solver read excess_sums, a second loop over the terms
-k >= 1 of the law: one log1p and one exp2 per term feed five series
-(E0, E1, E2, G1, H2; see its docstring), from which the mean, the
-utilization, the variance and the slope of the mean follow as ratios,
-with no difference of sums near 1.  Its tails carry derivatives of
-x**j (1 + x/c)**(-sigma), which is not completely monotone for j >= 1, so
-its cutoff does not rest on the first omitted term: it takes Johansson's
-rigorous bound on the Euler-Maclaurin remainder.  The cutoff tests run
-in linear space, and the pass is memoized by (s, c, q), so a figure row
-reading the variance at the beta a solve returned reads the solve's last
-pass.
+The moments and the solver read excess_sums, the second loop, over the
+terms k >= 1 of the law: its terms feed five series (E0, E1, E2, G1, H2;
+see its docstring), from which the mean, the utilization, the variance
+and the slope of the mean follow as ratios, with no difference of sums
+near 1.  Its tails carry derivatives of x**j (1 + x/c)**(-sigma), bounded
+term by term in Leibniz' sum, and the pass is memoized by (s, c, q), so a
+figure row reading the variance at the beta a solve returned reads the
+solve's last pass.
 
-No loop here is free of the libm variant glibc picks by CPU: a log1p or
-exp whose last bit differs reaches a sum where the term is large enough.
-The pass takes exp as exp2, which has one variant, so only log1p remains
-to it.  Over 30,000 (s, c) drawn across the figure domain, with glibc 2.36's
-AVX2 and FMA variants masked against unmasked, 23 passes and 5 single
-sums differed in some last bit.
+No loop here is free of the libm variant glibc picks by CPU: a log1p
+whose last bit differs reaches a sum where the term is large enough.
+Both loops take exp as exp2, which has one variant, so only log1p remains
+to them.  Over 30,000 (s, c) drawn across the figure domain (q uniform in
+[0.55, 0.97], beta log-uniform in [0.05, 50]), with glibc 2.36's AVX2 and
+FMA variants masked against unmasked, 53 passes and 12 single sums
+differed in some last bit.
 """
 
 import math
@@ -77,29 +70,21 @@ _EM_COEFFS = (
     1.0 / 47900160.0,
     -691.0 / 1307674368000.0,
 )
-# |B14| / 14!, the first omitted correction, used only as an error bound.
-_LOG_B14_COEF = math.log((7.0 / 6.0) / math.factorial(14))
-_LOG_REL_TARGET = math.log(1e-15)
 _TWO_PI = 2.0 * math.pi
+# Johansson's bound |B~_14(x)|/14! <= 4/(2*pi)**14 on the periodic
+# Bernoulli function in the Euler-Maclaurin remainder, and B14/14!.
+_REMAINDER_COEF = 4.0 / _TWO_PI**14
+_B14_COEF = (7.0 / 6.0) / math.factorial(14)
+_REL_TARGET = 1e-16
+# log2(e), rounded to the nearest double.  The loops, the solver's step and
+# Model II's rates take exp(y) as exp2(y log2 e): glibc picks one of two
+# exp variants by CPU (with FMA or without), whose last bits differ for
+# about 0.06% of arguments, while its exp2 gave the same bits in both over
+# 300,000 arguments (glibc 2.36).
+_LOG2_E = 1.4426950408889634
 
 _MIN_NORMAL = sys.float_info.min
 _MAX_TERMS = 10_000_000  # direct terms before a cutoff search gives up
-
-
-@lru_cache(maxsize=1 << 10)
-def _exponent_terms(s):
-    """What one Euler-Maclaurin evaluation needs of s alone.
-
-    Returns ln(|B14|/14! * prod_{i=0}^{12} (s + i)), the s-part of the
-    omitted-correction bound; s + 14; s - 1; and the five factors
-    (s+2j-1)(s+2j), j = 1..5, that carry the Bernoulli corrections'
-    rising product from one j to the next.
-    """
-    rising13_log = 0.0
-    for i in range(13):
-        rising13_log += math.log(s + i)
-    rising_factors = tuple((s + 2 * j - 1) * (s + 2 * j) for j in range(1, 6))
-    return _LOG_B14_COEF + rising13_log, s + 14.0, s - 1.0, rising_factors
 
 
 def _check(s, a):
@@ -111,81 +96,64 @@ def _check(s, a):
         raise DomainError(f"zeta requires a > 0, got a={a}")
 
 
-def _total(terms, s, a, n, t, s_minus_1, rising_factors):
-    """S(s, a) from its direct terms up to the cutoff n and the boundary
-    term t = (a / (a + n))**s: adds the integral tail, the half-term and
-    the Bernoulli corrections, then sums exactly."""
-    if t > 0.0:
-        an = a + n
-        inv = 1.0 / an
-        r1, r2, r3, r4, r5 = rising_factors
-        c1, c2, c3, c4, c5, c6 = _EM_COEFFS
-        # g_j = prod_{i<2j-1} (s+i) / an**(2j-1), built up factor by factor.
-        g1 = s * inv
-        g2 = g1 * (r1 * inv * inv)
-        g3 = g2 * (r2 * inv * inv)
-        g4 = g3 * (r3 * inv * inv)
-        g5 = g4 * (r4 * inv * inv)
-        g6 = g5 * (r5 * inv * inv)
-        terms += (
-            t * an / s_minus_1,  # integral tail
-            0.5 * t,             # half-term
-            t * c1 * g1, t * c2 * g2, t * c3 * g3, t * c4 * g4, t * c5 * g5, t * c6 * g6,
-        )
-    try:
-        total = math.fsum(terms)
-    except ValueError:  # -inf + inf: (s+1)(s+2) overflows for s above about 1.34e154
-        total = math.inf
-    if not math.isfinite(total):
-        raise OverflowError(f"scaled zeta sum overflows for s={s}, a={a}")
-    return total
+@lru_cache(maxsize=1 << 10)
+def _single_terms(s):
+    """What one single sum needs of s alone.
+
+    Returns (s + 15)/(2 pi), s - 1 (exact for every double s in
+    (1, 2**53]), the remainder bound's coefficient over the target,
+    4/(2 pi)**14 P(s)/1e-16 with P(s) = (s)_13/s**13, and the six factors
+    (1 + (2j-1)/s)(1 + 2j/s), j = 1..6, whose product is P(s) and which
+    step R_(2j-1) = (s)_(2j-1)/Y**(2j-1) to R_(2j+1) with (s/Y)**2.  Each
+    is at most 156, so nothing here overflows at any s.
+    """
+    factors = tuple((1.0 + (2 * j - 1) / s) * (1.0 + 2 * j / s) for j in range(1, 7))
+    p = _REMAINDER_COEF / _REL_TARGET
+    for f in factors:
+        p *= f
+    return (s + 15.0) / _TWO_PI, s - 1.0, p, factors
 
 
 @lru_cache(maxsize=1 << 10)
 def _scaled_sum(s, a):
     # Every single sum enters here.  A raise is not cached: each (s, a) is checked once.
     _check(s, a)
-    bound_base, s14, s_minus_1, rising_factors = _exponent_terms(s)
-    log, log1p, exp = math.log, math.log1p, math.exp
-    two_pi, log_rel_target = _TWO_PI, _LOG_REL_TARGET
+    span, s_minus_1, bound, factors = _single_terms(s)
+    log1p, exp2, log2_e = math.log1p, math.exp2, _LOG2_E
     neg_s = -s
-
-    terms = []
-    append = terms.append
     partial = 0.0
-    n = 0
-    t = 1.0  # (a / (a + n))**s at n = 0
-    log_t = 0.0
-    while t != 0.0:  # a boundary term that underflowed leaves a negligible tail
-        # Corrections decrease geometrically only once s + 14 <= 2*pi*(a+N);
-        # requiring that keeps the included B-terms free of cancellation.
-        an = a + n
-        if s14 <= two_pi * an:
-            log_err = log_t + bound_base - 13.0 * log(an)
-            # partial - 1 >= log(partial): log is taken only where the test can pass.
-            if log_err <= log_rel_target + (partial - 1.0 if partial > 1.0 else 0.0) and (
-                    partial <= 1.0 or log_err <= log_rel_target + log(partial)):
+    k = 0
+    t = 1.0  # the exact t_0
+    while True:
+        y = a + k
+        if y >= span:
+            r1 = s / y  # below 2 pi here, so P(s) r1**13 t = (s)_13 t / Y**13 is finite
+            integral = t * y / s_minus_1
+            if bound * r1**13 * t <= partial + integral:
                 break
-        append(t)
         partial += t
-        n += 1
-        if n > _MAX_TERMS:
+        k += 1
+        if k > _MAX_TERMS:
             raise NoConvergence("Euler-Maclaurin cutoff search did not terminate")
-        log_t = neg_s * log1p(n / a)
-        t = exp(log_t)
-    return _total(terms, s, a, n, t, s_minus_1, rising_factors)
-
-
-# Johansson's bound |B~_14(x)|/14! <= 4/(2*pi)**14 on the periodic
-# Bernoulli function in the Euler-Maclaurin remainder, and B14/14!.
-_REMAINDER_COEF = 4.0 / _TWO_PI**14
-_B14_COEF = (7.0 / 6.0) / math.factorial(14)
-_EXCESS_REL_TARGET = 1e-16
-# log2(e), rounded to the nearest double.  The pass, the solver's step and
-# Model II's rates take exp(y) as exp2(y log2 e): glibc picks one of two exp variants by CPU (with FMA or
-# without), whose last bits differ for about 0.06% of arguments, while
-# its exp2 gave the same bits in both over 300,000 arguments (glibc 2.36).
-_LOG2_E = 1.4426950408889634
+        # -s log2(e) overflows above s = 1.2e308, -s ln(1 + k/a) only where t underflows.
+        t = exp2(neg_s * log1p(k / a) * log2_e)
+        if t == 0.0:  # every tail is below the smallest double
+            return partial
+    # The corrections sum_m C_m R_(2m-1), with R_(2j+1) = R_(2j-1) (s/Y)**2 f_j.
+    f1, f2, f3, f4, f5, f6 = factors
+    c1, c2, c3, c4, c5, c6 = _EM_COEFFS
+    rr = r1 * r1
+    r3 = r1 * rr * f1
+    r5 = r3 * rr * f2
+    r7 = r5 * rr * f3
+    r9 = r7 * rr * f4
+    r11 = r9 * rr * f5
+    r13 = r11 * rr * f6
+    corrections = c1 * r1 + c2 * r3 + c3 * r5 + c4 * r7 + c5 * r9 + c6 * r11 + _B14_COEF * r13
+    total = partial + integral + t * (0.5 + corrections)
+    if not math.isfinite(total):
+        raise OverflowError(f"scaled zeta sum overflows for s={s}, a={a}")
+    return total
 
 
 def _exp(y):
@@ -214,7 +182,7 @@ def _excess_terms(s, q):
     for r in rising[:13]:
         poch *= r
     poch1 = poch * rising[13] / s
-    k = _REMAINDER_COEF / _EXCESS_REL_TARGET
+    k = _REMAINDER_COEF / _REL_TARGET
     # Leibniz' sum over f^(14) of x^j (1 + x/c)^(-sigma), bounded with x <= c + x:
     # (sigma)_14 (1 + 14j/(sigma+13) + 182[j=2]/((sigma+12)(sigma+13))), over sigma + 13 - j.
     s11, s12, s13, s14 = rising[10:]

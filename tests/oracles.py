@@ -6,8 +6,8 @@ geometric (M/M/1) law for the q -> 1 limit, and central finite
 differences.  Frozen constants below were produced by these same
 routines (and cross-checked against analytic identities) and are
 committed so unit tests do not depend on runtime recomputation.
-constraint_objective and reference_scaled_sum are the exceptions: they
-run the package's zeta pieces, to pin a formula or a loop, not a value.
+constraint_objective is the exception: it runs the package's zeta, to
+pin a formula, not a value.
 law_moments is an mpmath oracle for the mean, variance and utilization
 anywhere in the domain, corners included; norros_rho is one for the
 storage model's inverse.
@@ -135,40 +135,6 @@ def constraint_objective_series(q, beta, target_mean, n_terms=10**6):
     c = 1.0 / (beta * (1.0 - q))
     i = np.arange(n_terms, dtype=float)
     return float(np.sum((i - target_mean) * (1.0 + i / c) ** (-s)))
-
-
-def reference_scaled_sum(s, a):
-    """S(s, a) by the package's Euler-Maclaurin loop with the cutoff test in
-    its plain form, which takes log(partial) at every n where it runs.
-
-    Not independent: it shares the package's checks, s-terms, constants and
-    tail (zeta._total).  It pins the cutoff search, which must stop at the
-    same N however the package orders the test's work.
-    """
-    from tsqueue import errors, zeta
-
-    zeta._check(s, a)
-    bound_base, s14, s_minus_1, rising_factors = zeta._exponent_terms(s)
-    terms = []
-    partial = 0.0
-    n = 0
-    t = 1.0
-    log_t = 0.0
-    while t != 0.0:
-        an = a + n
-        if s14 <= zeta._TWO_PI * an:
-            log_err = log_t + bound_base - 13.0 * math.log(an)
-            floor = math.log(partial) if partial > 1.0 else 0.0
-            if log_err <= zeta._LOG_REL_TARGET + floor:
-                break
-        terms.append(t)
-        partial += t
-        n += 1
-        if n > zeta._MAX_TERMS:
-            raise errors.NoConvergence("Euler-Maclaurin cutoff search did not terminate")
-        log_t = -s * math.log1p(n / a)
-        t = math.exp(log_t)
-    return zeta._total(terms, s, a, n, t, s_minus_1, rising_factors)
 
 
 def _mp_scaled_sum(s, a):

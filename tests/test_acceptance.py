@@ -316,6 +316,20 @@ def test_criterion_10_utilization_transition():
     crit.finish()
 
 
+@pytest.mark.parametrize("q", [0.51, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95,
+                               0.99, 0.999])
+def test_utilization_crosses_the_mm1_line_once(q):
+    # The paper's claim behind criterion 10, over the whole q range of figure 5's grid.
+    _, rows = figure_dataset(5, (q,))
+    diffs = [(rho, util - rho) for _, rho, util, _ in rows]
+    above = [d > 0.0 for _, d in diffs]
+    crossings = [i for i in range(len(diffs) - 1) if above[i] != above[i + 1]]
+    assert diffs[0][1] < 0.0 and diffs[-1][1] > 0.0, (diffs[0], diffs[-1])
+    assert len(crossings) == 1, crossings
+    i = crossings[0]
+    assert 0.38 <= diffs[i][0] < diffs[i + 1][0] <= 0.50, (diffs[i], diffs[i + 1])
+
+
 def test_criterion_11_cli_contract(tmp_path):
     crit = _Criterion(11, "CLI exit codes and loss-free round trips")
 
