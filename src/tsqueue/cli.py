@@ -155,10 +155,6 @@ def _correspondence(records):
     return CSV_HEADER, [astuple(r) for r in records]
 
 
-def format_correspondence_csv(records) -> str:
-    return _render(_correspondence(records), "csv")
-
-
 def _correspondence_columns(text):
     """The columns of a correspondence CSV (mean, beta, rho, q), each a list
     of finite floats.  Each column is converted and checked in one pass;
@@ -191,10 +187,6 @@ def _correspondence_columns(text):
                 raise InputFormatError(f"line {lineno}: invalid number {field!r}") from None
             if not math.isfinite(value):
                 raise InputFormatError(f"line {lineno}: non-finite value {field!r}")
-
-
-def parse_correspondence_csv(text):
-    return list(map(CorrespondenceRecord, *_correspondence_columns(text)))
 
 
 def _read_text(path):

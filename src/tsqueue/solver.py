@@ -4,7 +4,10 @@ solve_beta takes Newton steps on ln mean as a function of ln beta.  One
 excess pass (zeta.excess_sums) at each iterate gives the mean, c E1/S,
 and its slope d ln mean / d ln c = s (H2/E1 - G1/S), neither of which
 cancels; the log-log step took 4.4 iterations per solve on the figure
-grids, where Newton on the raw constraint took 7.5.  The mean is strictly
+grids from the default start, where Newton on the raw constraint took
+7.5.  From the Hermite starts of fitting.generate_correspondence, which
+read the same slope (_log_slope) at each solved beta, a default-grid
+solve takes 2.79 fresh passes.  The mean is strictly
 decreasing in beta, so every mean the solver evaluates also narrows a
 bracket on the root; a step that leaves the bracket, or none at all, is
 replaced by a bisection point of it, in the same loop and iteration
@@ -48,6 +51,12 @@ def _validate_target(q, A):
     _validate_q(q)
     if not (math.isfinite(A) and A > 0.0):
         raise DomainError(f"target mean must be positive, got {A}")
+
+
+def _log_slope(s, e0, e1, g1, h2):
+    """d ln mean / d ln c from one excess pass, s (H2/E1 - G1/S) with
+    S = 1 + E0: positive, and free of cancellation."""
+    return s * (h2 / e1 - g1 / (1.0 + e0))
 
 
 def newton_step(q: float, beta: float, A: float) -> float:
@@ -103,8 +112,7 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
 
     def evaluate(b):
         # The residual mean - A at b, and the Newton step in ln beta from
-        # there (nan where the pass gives none).  d ln mean / d ln c is
-        # s (H2/E1 - G1/S): positive, and free of cancellation.
+        # there (nan where the pass gives none).
         nonlocal lo, hi
         c = _zeta_shift(q, b)
         try:
@@ -120,7 +128,7 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
             hi = min(hi, b)
         if e1 == 0.0:  # every term underflowed: step on the first, ln mean = -s ln(1 + 1/c)
             return m - A, (-s * math.log1p(1.0 / c) - math.log(A)) * (1.0 + c) / s
-        slope = s * (h2 / e1 - g1 / total)
+        slope = _log_slope(s, e0, e1, g1, h2)
         if not 0.0 < slope < math.inf:  # the slope underflowed or overflowed
             return m - A, math.nan
         ratio = m / A

@@ -376,6 +376,10 @@ def log_hurwitz_zeta(s: float, a: float) -> float:
 
     Computed as ln S(s, a) - s ln a with the dominant a**(-s) term
     factored out, so nothing underflows even at s in the millions.
+    Raises OverflowError where ln zeta itself leaves the double range.
     """
     s, a = float(s), float(a)
-    return math.log(_scaled_sum(s, a)) - s * math.log(a)
+    value = math.log(_scaled_sum(s, a)) - s * math.log(a)
+    if math.isinf(value):
+        raise OverflowError(f"ln zeta({s}, {a}) exceeds the double range")
+    return value

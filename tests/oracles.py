@@ -10,7 +10,8 @@ constraint_objective is the exception: it runs the package's zeta, to
 pin a formula, not a value.
 law_moments is an mpmath oracle for the mean, variance and utilization
 anywhere in the domain, corners included; norros_rho is one for the
-storage model's inverse.
+storage model's inverse; model_ii_minimizer is one for the Model II least
+squares fit near a given point.
 """
 
 import math
@@ -245,3 +246,32 @@ def norros_rho(mean, hurst):
             if abs(dx) <= mpmath.mpf(10) ** -55 * max(1, abs(x)):
                 return +(1 / (1 + mpmath.exp(-x)))
     raise ArithmeticError(f"no logit root for mean={mean}, hurst={hurst}")
+
+
+def model_ii_minimizer(beta, rho, eta, mu):
+    """(c, eta, d, mu) at the Model II least-squares minimizer nearest the
+    rates (eta, mu), as mpmath numbers: (c, d) projected out at the exact
+    binary data, and the projected SSE's gradient in (ln eta, ln mu) solved
+    to zero by mpmath's findroot at 40 digits.
+    """
+    with mpmath.workdps(40):
+        b = [mpmath.mpf(x) for x in beta]
+        r = [mpmath.mpf(x) for x in rho]
+        log_b = [mpmath.log(x) for x in b]
+
+        def project(log_eta, log_mu):
+            p = [mpmath.exp(-mpmath.exp(log_eta) * x) for x in log_b]
+            e = [mpmath.exp(-mpmath.exp(log_mu) * x) for x in b]
+            pp, pe, ee = (mpmath.fsum(u * v for u, v in zip(x, y)) for x, y in ((p, p), (p, e), (e, e)))
+            pr, er = (mpmath.fsum(u * v for u, v in zip(x, r)) for x in (p, e))
+            det = pp * ee - pe * pe
+            c, d = (ee * pr - pe * er) / det, (pp * er - pe * pr) / det
+            return c, d, mpmath.fsum((y - c * u - d * v) ** 2 for y, u, v in zip(r, p, e))
+
+        def gradient(log_eta, log_mu):
+            return [mpmath.diff(lambda x: project(x, log_mu)[2], log_eta),
+                    mpmath.diff(lambda x: project(log_eta, x)[2], log_mu)]
+
+        log_eta, log_mu = mpmath.findroot(gradient, (mpmath.log(eta), mpmath.log(mu)))
+        c, d, _ = project(log_eta, log_mu)
+        return c, mpmath.exp(log_eta), d, mpmath.exp(log_mu)

@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from tsqueue.cli import figure_dataset, main, parse_correspondence_csv
+from tsqueue.cli import CSV_HEADER, _correspondence_columns, _render, figure_dataset, main
 from tsqueue.distribution import (
     QueueModel,
     mean,
@@ -356,10 +356,8 @@ def test_criterion_11_cli_contract(tmp_path):
                      "--mean-max", "100", "--points", "40", "--out", str(data_path))
     crit.check(code == 0, "generate success path")
     text = data_path.read_text()
-    records = parse_correspondence_csv(text)
-    from tsqueue.cli import format_correspondence_csv
-
-    crit.check(format_correspondence_csv(records) == text,
+    rows = list(zip(*_correspondence_columns(text)))
+    crit.check(_render((CSV_HEADER, rows), "csv") == text,
                "CSV round trip not byte identical")
 
     code, out, _ = run("fit", "--model", "II", "--in", str(data_path),

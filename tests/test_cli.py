@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from importlib import resources
 from pathlib import Path
 
@@ -13,12 +13,7 @@ import pytest
 import tsqueue
 import tsqueue.cli as cli
 from tsqueue import QueueModel, fitting, generate_correspondence, qos_report, solve_beta, zeta
-from tsqueue.cli import (
-    figure_dataset,
-    format_correspondence_csv,
-    main,
-    parse_correspondence_csv,
-)
+from tsqueue.cli import figure_dataset, main
 from tsqueue.errors import DomainError
 from tsqueue.fitting import fit_model_i
 
@@ -184,10 +179,10 @@ class TestSolverAndNorrosCommands:
             "--mean-max", "8", "--points", "3", "--out", str(out),
         )
         assert code == 0
-        first = parse_correspondence_csv(out.read_text())[0]
-        assert first.mean == 2.0
-        assert first.beta == pytest.approx(solved["beta"], rel=1e-12)
-        assert first.rho == pytest.approx(rho["value"], rel=1e-12)
+        mean, beta, rho_column, _ = cli._correspondence_columns(out.read_text())
+        assert mean[0] == 2.0
+        assert beta[0] == pytest.approx(solved["beta"], rel=1e-12)
+        assert rho_column[0] == pytest.approx(rho["value"], rel=1e-12)
 
     def test_solve_beta_rejects_subnormal_beta0(self, capsys):
         code, out, err = run(
@@ -232,8 +227,10 @@ class TestGenerateAndFit:
         assert code == 0
         text = out.read_text()
         assert text.splitlines()[0] == "mean,beta,rho,q"
-        records = parse_correspondence_csv(text)
-        assert format_correspondence_csv(records) == text
+        columns = cli._correspondence_columns(text)
+        records = generate_correspondence(0.6, 0.1, 100.0, 50)
+        assert columns == [list(column) for column in zip(*map(astuple, records))]
+        assert cli._render((cli.CSV_HEADER, list(zip(*columns))), "csv") == text
 
     def test_fit_model_ordering(self, capsys, tmp_path):
         out = tmp_path / "data.csv"
@@ -297,9 +294,9 @@ class TestGenerateAndFit:
     ], ids=["crlf", "quoted", "spaces"])
     def test_well_formed_variants_read_alike(self, capsys, tmp_path, text):
         plain = "mean,beta,rho,q\n1,0.5,0.4,0.6\n2,1.5,0.3,0.6\n3,2.5,0.25,0.6\n"
-        records = parse_correspondence_csv(text)
-        assert records == parse_correspondence_csv(plain)
-        assert [r.beta for r in records] == [0.5, 1.5, 2.5]
+        columns = cli._correspondence_columns(text)
+        assert columns == cli._correspondence_columns(plain)
+        assert columns[1] == [0.5, 1.5, 2.5]
         outputs = []
         for name, content in (("variant.csv", text), ("plain.csv", plain)):
             path = tmp_path / name
