@@ -10,18 +10,21 @@ here works with the scaled series
 whose leading term is exactly 1 and whose value never exceeds
 1 + a/(s - 1).  Both loops here sum by Euler-Maclaurin under one rule:
 direct terms t_k = (1 + k/a)**(-s) up to a cutoff N, each one log1p and
-one exp2, then the integral tail, the half-term and seven Bernoulli
-corrections (B2..B14) from Y = a + N.  N is the first k with
-2 pi Y >= s + 15, where the corrections decrease, at which Johansson's
-rigorous bound on the remainder (arXiv:1309.2877, section 2: 4/(2 pi)**14
-times the integral of |f^(14)| from N) stays below 1e-16 of the partial
-sum plus the integral tail, tested in linear space.  At N = 0 the tails
-start at the exact term t_0 = 1.  A term that underflows ends a loop, as
-every tail is then below the smallest double.
+one exp2, then the integral tail, the half-term and eleven Bernoulli
+corrections (B2..B22) from Y = a + N.  N is the first k with
+2 pi Y >= s + 23, where the corrections decrease, at which Johansson's
+rigorous bound on the remainder (arXiv:1309.2877, section 2: 4/(2 pi)**22
+times the integral of |f^(22)| from N) stays below 1e-16 of the partial
+sum plus the integral tail, tested in linear space.  The corrections cost
+a few multiplications once per sum, where each direct term costs a log1p,
+an exp2 and the bound's test, so the order is high: on the default figure
+grids a pass takes 5.4 direct terms, against 12.3 with corrections to
+B14.  At N = 0 the tails start at the exact term t_0 = 1.  A term that
+underflows ends a loop, as every tail is then below the smallest double.
 
 The single sum S is _scaled_sum.  For f = (1 + x/a)**(-s) the integral of
-|f^(14)| from N is (s)_13 t_N / Y**13, which its test takes as
-P(s) (s/Y)**13 t_N with P(s) = (s)_13 / s**13: s/Y < 2 pi wherever the
+|f^(22)| from N is (s)_21 t_N / Y**21, which its test takes as
+P(s) (s/Y)**21 t_N with P(s) = (s)_21 / s**21: s/Y < 2 pi wherever the
 test runs, so the bound is finite at every s, and so is each correction.
 The last 1,024 values of S are cached by (s, a): one qos_report reads its
 few sums more than once, and a figure-4 row reads S(s, c) once per
@@ -35,7 +38,8 @@ terms k >= 1 of the law: its terms feed five series (E0, E1, E2, G1, H2;
 see its docstring), from which the mean, the utilization, the variance
 and the slope of the mean follow as ratios, with no difference of sums
 near 1.  Its tails carry derivatives of x**j (1 + x/c)**(-sigma), bounded
-term by term in Leibniz' sum, and the pass is memoized by (s, c, q), so a
+term by term in Leibniz' sum and held as multiples of P(s) (s/Y)**21, as
+the single sum's are, and the pass is memoized by (s, c, q), so a
 figure row reading the variance at the beta a solve returned reads the
 solve's last pass.
 
@@ -43,9 +47,12 @@ No loop here is free of the libm variant glibc picks by CPU: a log1p
 whose last bit differs reaches a sum where the term is large enough.
 Both loops take exp as exp2, which has one variant, so only log1p remains
 to them.  Over 30,000 (s, c) drawn across the figure domain (q uniform in
-[0.55, 0.97], beta log-uniform in [0.05, 50]), with glibc 2.36's AVX2 and
-FMA variants masked against unmasked, 53 passes and 12 single sums
-differed in some last bit.
+[0.55, 0.97], beta log-uniform in [0.05, 50] through exp2), with glibc
+2.36's AVX2 and FMA variants masked against unmasked, 26 passes and no
+single sum differed in some last bit (40 and 4 with corrections to B14).
+A ln(1 + x) from float arithmetic and a table alone gave the same bits
+under both, but at about 0.2 us more per term it spent most of what the
+order-22 rule saves (ROADMAP.md, item 5).
 """
 
 import math
@@ -61,21 +68,33 @@ __all__ = [
     "excess_sums",
 ]
 
-# B_{2j} / (2j)! for j = 1..6.
+# C_m = B_2m/(2m)! for m = 1..11, each the nearest double to the exact ratio
+# (Python's int/int division rounds correctly): the corrections B2..B22.  The
+# rule's order, 22, is written out wherever it enters: the span s + 23, the
+# bound's 4/(2 pi)**22 and (s/Y)**21, the factors of P(s) = (s)_21/s**21, the
+# Leibniz constants of _excess_terms and the tails' R_1..R_22.
 _EM_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 720.0,
-    1.0 / 30240.0,
-    -1.0 / 1209600.0,
-    1.0 / 47900160.0,
-    -691.0 / 1307674368000.0,
+    1 / 12,
+    -1 / 720,
+    1 / 30240,
+    -1 / 1209600,
+    1 / 47900160,
+    -691 / 1307674368000,
+    1 / 74724249600,
+    -3617 / 10670622842880000,
+    43867 / 5109094217170944000,
+    -174611 / 802857662698291200000,
+    77683 / 14101100039391805440000,
 )
+# (2m-1) C_m and (2m-1)(2m-2) C_m (m >= 2): the corrections of x f and x**2 f.
+_EM_SLOPES = tuple((2 * m - 1) * c for m, c in enumerate(_EM_COEFFS, 1))
+_EM_CURVES = tuple((2 * m - 1) * (2 * m - 2) * c for m, c in enumerate(_EM_COEFFS, 1))[1:]
 _TWO_PI = 2.0 * math.pi
-# Johansson's bound |B~_14(x)|/14! <= 4/(2*pi)**14 on the periodic
-# Bernoulli function in the Euler-Maclaurin remainder, and B14/14!.
-_REMAINDER_COEF = 4.0 / _TWO_PI**14
-_B14_COEF = (7.0 / 6.0) / math.factorial(14)
+# Johansson's bound |B~_22(x)|/22! <= 4/(2*pi)**22 on the periodic
+# Bernoulli function in the Euler-Maclaurin remainder.
+_REMAINDER_COEF = 4.0 / _TWO_PI**22
 _REL_TARGET = 1e-16
+_BOUND_COEF = _REMAINDER_COEF / _REL_TARGET
 # log2(e), rounded to the nearest double.  The loops, the solver's step and
 # Model II's rates take exp(y) as exp2(y log2 e): glibc picks one of two
 # exp variants by CPU (with FMA or without), whose last bits differ for
@@ -100,18 +119,18 @@ def _check(s, a):
 def _single_terms(s):
     """What one single sum needs of s alone.
 
-    Returns (s + 15)/(2 pi), s - 1 (exact for every double s in
+    Returns (s + 23)/(2 pi), s - 1 (exact for every double s in
     (1, 2**53]), the remainder bound's coefficient over the target,
-    4/(2 pi)**14 P(s)/1e-16 with P(s) = (s)_13/s**13, and the six factors
-    (1 + (2j-1)/s)(1 + 2j/s), j = 1..6, whose product is P(s) and which
+    4/(2 pi)**22 P(s)/1e-16 with P(s) = (s)_21/s**21, and the ten factors
+    (1 + (2j-1)/s)(1 + 2j/s), j = 1..10, whose product is P(s) and which
     step R_(2j-1) = (s)_(2j-1)/Y**(2j-1) to R_(2j+1) with (s/Y)**2.  Each
-    is at most 156, so nothing here overflows at any s.
+    is at most 420, so nothing here overflows at any s.
     """
-    factors = tuple((1.0 + (2 * j - 1) / s) * (1.0 + 2 * j / s) for j in range(1, 7))
-    p = _REMAINDER_COEF / _REL_TARGET
+    factors = tuple((1.0 + (2 * j - 1) / s) * (1.0 + 2 * j / s) for j in range(1, 11))
+    p = _BOUND_COEF
     for f in factors:
         p *= f
-    return (s + 15.0) / _TWO_PI, s - 1.0, p, factors
+    return (s + 23.0) / _TWO_PI, s - 1.0, p, factors
 
 
 @lru_cache(maxsize=1 << 10)
@@ -127,9 +146,9 @@ def _scaled_sum(s, a):
     while True:
         y = a + k
         if y >= span:
-            r1 = s / y  # below 2 pi here, so P(s) r1**13 t = (s)_13 t / Y**13 is finite
+            r1 = s / y  # below 2 pi here, so P(s) r1**21 t = (s)_21 t / Y**21 is finite
             integral = t * y / s_minus_1
-            if bound * r1**13 * t <= partial + integral:
+            if bound * r1**21 * t <= partial + integral:
                 break
         partial += t
         k += 1
@@ -140,8 +159,8 @@ def _scaled_sum(s, a):
         if t == 0.0:  # every tail is below the smallest double
             return partial
     # The corrections sum_m C_m R_(2m-1), with R_(2j+1) = R_(2j-1) (s/Y)**2 f_j.
-    f1, f2, f3, f4, f5, f6 = factors
-    c1, c2, c3, c4, c5, c6 = _EM_COEFFS
+    f1, f2, f3, f4, f5, f6, f7, f8, f9, f10 = factors
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _EM_COEFFS
     rr = r1 * r1
     r3 = r1 * rr * f1
     r5 = r3 * rr * f2
@@ -149,7 +168,12 @@ def _scaled_sum(s, a):
     r9 = r7 * rr * f4
     r11 = r9 * rr * f5
     r13 = r11 * rr * f6
-    corrections = c1 * r1 + c2 * r3 + c3 * r5 + c4 * r7 + c5 * r9 + c6 * r11 + _B14_COEF * r13
+    r15 = r13 * rr * f7
+    r17 = r15 * rr * f8
+    r19 = r17 * rr * f9
+    r21 = r19 * rr * f10
+    corrections = (c1 * r1 + c2 * r3 + c3 * r5 + c4 * r7 + c5 * r9 + c6 * r11 + c7 * r13
+                   + c8 * r15 + c9 * r17 + c10 * r19 + c11 * r21)
     total = partial + integral + t * (0.5 + corrections)
     if not math.isfinite(total):
         raise OverflowError(f"scaled zeta sum overflows for s={s}, a={a}")
@@ -161,42 +185,43 @@ def _exp(y):
     return math.exp2(y * _LOG2_E)
 
 
-@lru_cache(maxsize=1 << 6)  # a solve or a figure row reads one q; an entry is about 1.3 kB
+@lru_cache(maxsize=1 << 6)  # a solve or a figure row reads one q; an entry is about 0.5 kB
 def _excess_terms(s, q):
     """What one excess pass needs of (s, q) alone.
 
     The exponent differences come from q, where 1 - q and 2q - 1 are
     exact: s - 1 = q/(1-q), s - 2 = (2q-1)/(1-q) and s - 3 =
     (q - 2(1-q))/(1-q), whose numerator is exact for q <= 0.8 (Sterbenz)
-    and free of cancellation above.  Returns -s log2(e); (s + 15)/(2 pi), the
+    and free of cancellation above.  Returns -s log2(e); (s + 23)/(2 pi), the
     least c + N where the corrections decrease; the integrals'
     coefficients 1/(s-1), 1/((s-1)(s-2)), 2/((s-1)(s-2)(s-3)) (0 where
     E2 diverges) and their s + 1 counterparts 1/s, 1/(s(s-1)),
-    2/(s(s-1)(s-2)); the five remainder-bound coefficients over the
-    target; and s + 1..s + 13, the rising factors of the corrections.
+    2/(s(s-1)(s-2)); and the five remainder-bound coefficients over the
+    target, each a multiple of P(s) = (s)_21/s**21 <= 20!, so that none
+    overflows up to s = 2**53, where (s)_22 itself would.
     """
     om = 1.0 - q
     sm1, sm2, sm3 = q / om, (2.0 * q - 1.0) / om, (q - 2.0 * om) / om
-    rising = tuple(s + i for i in range(1, 15))
-    poch = s  # (s)_14, then (s+1)_14
-    for r in rising[:13]:
-        poch *= r
-    poch1 = poch * rising[13] / s
-    k = _REMAINDER_COEF / _REL_TARGET
-    # Leibniz' sum over f^(14) of x^j (1 + x/c)^(-sigma), bounded with x <= c + x:
-    # (sigma)_14 (1 + 14j/(sigma+13) + 182[j=2]/((sigma+12)(sigma+13))), over sigma + 13 - j.
-    s11, s12, s13, s14 = rising[10:]
-    bounds = (
-        k * poch / s13,
-        k * poch * (1.0 + 14.0 / s13) / s12,
-        k * poch * (1.0 + 28.0 / s13 + 182.0 / (s12 * s13)) / s11,
-        k * poch1 * (1.0 + 14.0 / s14) / s13,
-        k * poch1 * (1.0 + 28.0 / s14 + 182.0 / (s13 * s14)) / s12,
-    )
-    return (-s * _LOG2_E, (s + 15.0) / _TWO_PI,
+    i = 1.0 / s
+    kp = (_BOUND_COEF * (1.0 + i) * (1.0 + 2.0 * i) * (1.0 + 3.0 * i) * (1.0 + 4.0 * i)
+          * (1.0 + 5.0 * i) * (1.0 + 6.0 * i) * (1.0 + 7.0 * i) * (1.0 + 8.0 * i)
+          * (1.0 + 9.0 * i) * (1.0 + 10.0 * i) * (1.0 + 11.0 * i) * (1.0 + 12.0 * i)
+          * (1.0 + 13.0 * i) * (1.0 + 14.0 * i) * (1.0 + 15.0 * i) * (1.0 + 16.0 * i)
+          * (1.0 + 17.0 * i) * (1.0 + 18.0 * i) * (1.0 + 19.0 * i) * (1.0 + 20.0 * i))
+    # Leibniz' sum over f^(22) of x^j (1 + x/c)^(-sigma), bounded with x <= c + x,
+    # integrates from N to (sigma)_22 (1 + 22j/(sigma+21) + 462[j=2]/((sigma+20)(sigma+21)))
+    # g Y**(j-21)/((sigma + 21 - j) c**j).  With (s)_22 = s**21 P(s) (s+21) and
+    # (s+1)_22 = s**20 P(s) (s+21)(s+22), that is the coefficient times (s/Y)**21 t (Y/c)**j
+    # for E_j, and (s/Y)**21 t (Y/c)**(j-1) for G1 and H2, whose g is t c/Y.
+    s20 = s + 20.0
+    return (-s * _LOG2_E, (s + 23.0) / _TWO_PI,
             1.0 / sm1, 1.0 / (sm1 * sm2), 2.0 / (sm1 * sm2 * sm3) if sm3 > 0.0 else 0.0,
-            1.0 / s, 1.0 / (s * sm1), 2.0 / (s * sm1 * sm2),
-            bounds, rising[:13])
+            i, 1.0 / (s * sm1), 2.0 / (s * sm1 * sm2),
+            kp,
+            kp * (s + 43.0) / s20,
+            kp * (s + 65.0 + 462.0 / s20) / (s + 19.0),
+            kp * (1.0 + 44.0 * i),
+            kp * ((s + 21.0) * (s + 66.0) + 462.0) * i / s20)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -214,14 +239,15 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
 
     Direct terms k = 1..N-1 share one log1p and one exp2; Euler-Maclaurin
     covers k >= N for every series, with its integral, half-term and
-    seven Bernoulli corrections (B2..B14), the derivatives of
+    eleven Bernoulli corrections (B2..B22), the derivatives of
     x**j (1 + x/c)**(-sigma) taken by Leibniz' rule (sigma = s for E_j,
-    s + 1 for G1 and H2).  N is the first k >= 0 with 2 pi (c + k) >= s + 15
+    s + 1 for G1 and H2).  N is the first k >= 0 with 2 pi (c + k) >= s + 23
     at which, for each series, Johansson's remainder bound
-    (arXiv:1309.2877, section 2: |R| <= 4/(2 pi)**14 times the integral
-    of |f^(14)| from N) stays below 1e-16 of its partial sum plus its
-    integral, tested in linear space; |f^(14)| is bounded term by term
-    in Leibniz' sum, with x <= c + x.  At N = 0 the tails start at the
+    (arXiv:1309.2877, section 2: |R| <= 4/(2 pi)**22 times the integral
+    of |f^(22)| from N) stays below 1e-16 of its partial sum plus its
+    integral, tested in linear space; |f^(22)| is bounded term by term
+    in Leibniz' sum, with x <= c + x, and each bound is taken as a
+    multiple of P(s) (s/Y)**21 t, finite up to s = 2**53.  At N = 0 the tails start at the
     exact term t_0 = 1, as the single sum's do, and E0 drops that term
     again; from N = 1 they would start at t_1, one exp2 and one log1p
     whose last bits every value would carry.  A boundary term that
@@ -229,15 +255,16 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
     s ln(1 + k/c), about
     |ln t_k| * 2**-53 relative in t_k, dominates the error where the
     leading terms are tiny; over the mpmath box of the tests the error
-    stayed below 6e-14 relative wherever the sums are normal doubles.
+    stayed below 6e-14 relative wherever the terms are normal doubles.
+    Subnormal terms carry few bits, and E1, E2, G1 and H2, which scale
+    them by (k/c)**j, can be normal and still that far off.
     """
     s, c, q = float(s), float(c), float(q)
     if not (math.isfinite(c) and 0.5 < q < 1.0 and s == 1.0 / (1.0 - q)):
         raise DomainError(f"excess sums need q in (1/2, 1) and s = 1/(1-q), got s={s}, q={q}")
     if c <= 0.0:
         raise DomainError(f"zeta requires a > 0, got a={c}")
-    (neg_s2, span, i1, i12, i123, j0, j01, j012, (b0, b1, b2, bg, bh),
-     rising) = _excess_terms(s, q)
+    neg_s2, span, i1, i12, i123, j0, j01, j012, b0, b1, b2, bg, bh = _excess_terms(s, q)
     has_e2 = i123 > 0.0
     log1p, exp2 = math.log1p, math.exp2
     # Where N = 0 can pass, the tails start at the exact term t_0 = 1 and
@@ -255,7 +282,7 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
         if y >= span:
             yi = 1.0 / y
             gy = t * y
-            bv = gy * yi**14  # g Y**-13
+            bv = t * (s * yi)**21  # below (2 pi)**21 t: s/Y < 2 pi here
             # H2's test first: it binds most often, then E2's and G1's.
             if (bh * bv * yc <= h2 + gy * (w * (x * j0 + 2.0 * yc * j01) + yc * j012)
                     and (not has_e2 or b2 * bv * yc * yc
@@ -264,7 +291,7 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
                     and b1 * bv * yc <= e1 + gy * (x * i1 + yc * i12)
                     and b0 * bv <= e0 + gy * i1):
                 e0, e1, e2, g1, h2 = _excess_tails(
-                    (e0, e1, e2, g1, h2), s, c, x, yc, w, t, gy, yi, rising,
+                    (e0, e1, e2, g1, h2), s, c, x, yc, w, t, gy, yi,
                     (i1, i12, i123, j0, j01, j012))
                 break
         e0 += t
@@ -280,7 +307,7 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
     return e0, e1, e2 if has_e2 else math.inf, g1, h2
 
 
-def _excess_tails(partials, s, c, x, yc, w, t, gy, yi, rising, coefs):
+def _excess_tails(partials, s, c, x, yc, w, t, gy, yi, coefs):
     """The partial sums plus each series' Euler-Maclaurin tail from N:
     x = N/c, yc = Y/c for Y = c + N, w = N/Y, t = (1 + x)**(-s), gy = t Y.
 
@@ -289,37 +316,47 @@ def _excess_tails(partials, s, c, x, yc, w, t, gy, yi, rising, coefs):
     the tails they carry."""
     e0, e1, e2, g1, h2 = partials
     i1, i12, i123, j0, j01, j012 = coefs
-    r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13 = rising
-    c1, c2, c3, c4, c5, c6 = _EM_COEFFS
-    c7 = _B14_COEF
-    # R_n = (s)_n / Y**n.
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _EM_COEFFS
+    d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = _EM_SLOPES
+    a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = _EM_CURVES
+    # R_n = (s)_n / Y**n, below (2 pi)**n: each (s + n - 1)/Y < 2 pi (s + 21)/(s + 23).
     q1 = s * yi
-    q2 = q1 * r1 * yi
-    q3 = q2 * r2 * yi
-    q4 = q3 * r3 * yi
-    q5 = q4 * r4 * yi
-    q6 = q5 * r5 * yi
-    q7 = q6 * r6 * yi
-    q8 = q7 * r7 * yi
-    q9 = q8 * r8 * yi
-    q10 = q9 * r9 * yi
-    q11 = q10 * r10 * yi
-    q12 = q11 * r11 * yi
-    q13 = q12 * r12 * yi
-    q14 = q13 * r13 * yi
+    q2 = q1 * (s + 1.0) * yi
+    q3 = q2 * (s + 2.0) * yi
+    q4 = q3 * (s + 3.0) * yi
+    q5 = q4 * (s + 4.0) * yi
+    q6 = q5 * (s + 5.0) * yi
+    q7 = q6 * (s + 6.0) * yi
+    q8 = q7 * (s + 7.0) * yi
+    q9 = q8 * (s + 8.0) * yi
+    q10 = q9 * (s + 9.0) * yi
+    q11 = q10 * (s + 10.0) * yi
+    q12 = q11 * (s + 11.0) * yi
+    q13 = q12 * (s + 12.0) * yi
+    q14 = q13 * (s + 13.0) * yi
+    q15 = q14 * (s + 14.0) * yi
+    q16 = q15 * (s + 15.0) * yi
+    q17 = q16 * (s + 16.0) * yi
+    q18 = q17 * (s + 17.0) * yi
+    q19 = q18 * (s + 18.0) * yi
+    q20 = q19 * (s + 19.0) * yi
+    q21 = q20 * (s + 20.0) * yi
+    q22 = q21 * (s + 21.0) * yi
     # With C_m = B_2m/(2m)!, -sum_m C_m f^(2m-1)(N) is g W0 for f = (1 + x/c)**(-s),
     # g (N W0 + W1) for x f and g (N**2 W0 + 2 N W1 + W2) for x**2 f.
-    w0 = c1 * q1 + c2 * q3 + c3 * q5 + c4 * q7 + c5 * q9 + c6 * q11 + c7 * q13
-    w1 = -(c1 + 3.0 * c2 * q2 + 5.0 * c3 * q4 + 7.0 * c4 * q6 + 9.0 * c5 * q8
-           + 11.0 * c6 * q10 + 13.0 * c7 * q12)
-    w2 = (6.0 * c2 * q1 + 20.0 * c3 * q3 + 42.0 * c4 * q5 + 72.0 * c5 * q7
-          + 110.0 * c6 * q9 + 156.0 * c7 * q11)
+    w0 = (c1 * q1 + c2 * q3 + c3 * q5 + c4 * q7 + c5 * q9 + c6 * q11 + c7 * q13
+          + c8 * q15 + c9 * q17 + c10 * q19 + c11 * q21)
+    w1 = -(d1 + d2 * q2 + d3 * q4 + d4 * q6 + d5 * q8 + d6 * q10 + d7 * q12
+           + d8 * q14 + d9 * q16 + d10 * q18 + d11 * q20)
+    w2 = (a2 * q1 + a3 * q3 + a4 * q5 + a5 * q7 + a6 * q9 + a7 * q11 + a8 * q13
+          + a9 * q15 + a10 * q17 + a11 * q19)
     # The same for sigma = s + 1, over Y/s: (s+1)_n / Y**n = (Y/s) R_(n+1).
-    v0 = c1 * q2 + c2 * q4 + c3 * q6 + c4 * q8 + c5 * q10 + c6 * q12 + c7 * q14
-    v1 = -(c1 * q1 + 3.0 * c2 * q3 + 5.0 * c3 * q5 + 7.0 * c4 * q7 + 9.0 * c5 * q9
-           + 11.0 * c6 * q11 + 13.0 * c7 * q13)
-    v2 = (6.0 * c2 * q2 + 20.0 * c3 * q4 + 42.0 * c4 * q6 + 72.0 * c5 * q8
-          + 110.0 * c6 * q10 + 156.0 * c7 * q12)
+    v0 = (c1 * q2 + c2 * q4 + c3 * q6 + c4 * q8 + c5 * q10 + c6 * q12 + c7 * q14
+          + c8 * q16 + c9 * q18 + c10 * q20 + c11 * q22)
+    v1 = -(d1 * q1 + d2 * q3 + d3 * q5 + d4 * q7 + d5 * q9 + d6 * q11 + d7 * q13
+           + d8 * q15 + d9 * q17 + d10 * q19 + d11 * q21)
+    v2 = (a2 * q2 + a3 * q4 + a4 * q6 + a5 * q8 + a6 * q10 + a7 * q12 + a8 * q14
+          + a9 * q16 + a10 * q18 + a11 * q20)
     ic = 1.0 / c
     gx, tw, ts = t * x, t * w, t / s
     gnw = gy * w / s  # u Y N / (s c), the s + 1 series' correction scale times N/c

@@ -1,8 +1,8 @@
 """Bit-for-bit pins on the scaled zeta sum and the beta solver.
 
-Speed work on ``tsqueue.zeta`` and ``tsqueue.solver`` must not change one
-floating-point operation.  These tests compare ``repr`` strings, so any
-last-bit change fails, against captures under ``tests/golden/``:
+These tests compare ``repr`` strings, so any last-bit change of
+``tsqueue.zeta`` or ``tsqueue.solver`` fails them, against captures under
+``tests/golden/``:
 
 - ``zeta-grid.txt``: the single sum S(sigma, a) for sigma in
   {s-1, s, s+1, s-2} (where sigma > 1) over a log grid of s and a;
@@ -14,10 +14,16 @@ last-bit change fails, against captures under ``tests/golden/``:
 Neither capture runs numpy code, so numpy's choice of CPU kernels cannot
 change them.
 
-To capture again after an intended change of the arithmetic, run from the
-repo root:
+A change meant to keep the arithmetic must pass them as they are.  A change
+of the arithmetic on purpose re-captures them once, from the repo root,
 
     PYTHONPATH=src python tests/test_bit_identity.py
+
+and scores every changed number against an mpmath oracle under the oracle
+rule in ROADMAP.md: one off by more than 1e-14 relative must move closer,
+neither the worst nor the median error of the rest may rise, and no changed
+number may pass the worst old error.  CHANGES.md gets the counts of closer,
+further and same, and lists every number that misses the rule.
 """
 
 from pathlib import Path

@@ -203,11 +203,11 @@ class TestSolverAndNorrosCommands:
     def test_bisection_stall_exits_three(self, capsys):
         # No double beta meets a target below the mean's resolution.
         code, out, err = run(
-            capsys, "solve-beta", "--q", "0.75", "--mean", "2", "--tol", "1e-20"
+            capsys, "solve-beta", "--q", "0.75", "--mean", "3", "--tol", "1e-20"
         )
         assert (code, out) == (3, "")
-        assert err == ("error: bisection stalled at beta=0.7477426482615261 "
-                       "with residual -2.220446049250313e-16\n")
+        assert err == ("error: bisection stalled at beta=0.5410770600109491 "
+                       "with residual -4.440892098500626e-16\n")
 
     def test_solve_beta_near_q_one(self, capsys):
         # This exited 3: the mean's cancellation noise exceeded the target.
@@ -364,12 +364,12 @@ class TestGenerateAndFit:
         assert not out
 
     def test_generate_solver_failure_exits_three(self, capsys):
-        # No double beta gives a mean of exactly 1e-320, the only subnormal
-        # within tol * 1e-320 of it.
-        code, out, err = run(capsys, "generate", "--q", "0.6", "--mean-min", "1e-320",
+        # No double beta gives a mean of exactly 1e-319, the only subnormal
+        # within tol * 1e-319 of it.
+        code, out, err = run(capsys, "generate", "--q", "0.6", "--mean-min", "1e-319",
                              "--mean-max", "1e-300", "--points", "2")
         assert (code, out) == (3, "")
-        assert err.startswith("error: beta solve failed at mean=1e-320: bisection stalled")
+        assert err.startswith("error: beta solve failed at mean=1e-319: bisection stalled")
 
     def test_generate_json_round_trip(self, capsys):
         payload = run_json(capsys, "generate", "--q", "0.75", "--points", "5")

@@ -147,18 +147,18 @@ class TestGenerateCorrespondence:
             generate_correspondence(0.75, 0.1, 100.0, points)
 
     def test_solver_failure_names_the_mean(self):
-        # The target tol * 1e-320 underflows to 0, and no double beta gives
-        # a mean of exactly 1e-320.
+        # The target tol * 1e-319 underflows to 0, and no double beta gives
+        # a mean of exactly 1e-319.
         with pytest.raises(NoConvergence) as info:
-            generate_correspondence(0.6, 1e-320, 1e-300, 2)
+            generate_correspondence(0.6, 1e-319, 1e-300, 2)
         cause = info.value.__cause__
         assert isinstance(cause, NoConvergence)
-        assert str(cause) == ("bisection stalled at beta=3.676739083350269e+128 "
-                              "with residual 5e-324")
-        assert str(info.value) == f"beta solve failed at mean=1e-320: {cause}"
+        assert str(cause) == ("bisection stalled at beta=1.461760534037145e+128 "
+                              "with residual 7e-323")
+        assert str(info.value) == f"beta solve failed at mean=1e-319: {cause}"
         assert (info.value.beta, info.value.residual, info.value.iterations) == (
             cause.beta, cause.residual, cause.iterations)
-        assert cause.iterations == 48
+        assert cause.iterations == 47
 
     def test_integer_like_points_accepted(self):
         records = generate_correspondence(0.75, 0.1, 100.0, np.int64(3))

@@ -153,13 +153,13 @@ class TestSolveBeta:
         # No double beta meets a target below the mean's resolution: Newton
         # brackets the root between two adjacent doubles, its next step moves
         # nothing, and no bisection point lies strictly inside the bracket.
-        message = ("bisection stalled at beta=0.7477426482615261 "
-                   "with residual -2.220446049250313e-16")
+        message = ("bisection stalled at beta=0.5410770600109491 "
+                   "with residual -4.440892098500626e-16")
         with pytest.raises(NoConvergence) as info:
-            solve_beta(0.75, 2.0, tol=1e-20)
+            solve_beta(0.75, 3.0, tol=1e-20)
         assert str(info.value) == message
         assert (info.value.beta, info.value.residual, info.value.iterations) == (
-            0.7477426482615261, 2.220446049250313e-16, 6)
+            0.5410770600109491, 4.440892098500626e-16, 6)
 
     def test_pass_overflow_narrows_the_bracket(self):
         # Near q = 1/2 a Newton step overshoots to a beta where E1 leaves the

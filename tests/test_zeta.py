@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -129,6 +130,17 @@ def test_scaled_sum_matches_mpmath(log10_excess, log10_a):
     with mp.workdps(max(40, int(math.log10(s)) + 25)):
         ref = oracles._mp_scaled_sum(mp.mpf(s), mp.mpf(a))
         assert abs(scaled_hurwitz_zeta(s, a) - ref) <= 1e-13 * ref
+
+
+def test_corrections_are_the_nearest_doubles_to_the_bernoulli_ratios():
+    # B_2m/(2m)! for m = 1..11, from the exact recurrence
+    # B_n = -sum_{k<n} C(n+1, k) B_k / (n+1): a wrong digit in a late entry
+    # moves every value by far less than the tolerances above catch.
+    b = [Fraction(1)]
+    for n in range(1, 23):
+        b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
+    exact = [b[2 * m] / math.factorial(2 * m) for m in range(1, 12)]
+    assert zeta._EM_COEFFS == tuple(float(r) for r in exact)
 
 
 # Each zeta loop, with arguments that need more than one direct term.
