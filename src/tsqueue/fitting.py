@@ -78,8 +78,8 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
     three, each matching ln beta and its slope d ln beta / d ln mean =
     -1 / (d ln mean / d ln c), read from the excess pass at the solved beta
     (the solver's last, so a cache hit).  On the default grid that takes
-    2.79 fresh passes per solve, where a start from the previous beta took
-    3.83 (500 solves at q = 0.55..0.97).
+    2.79 fresh passes per solve (500 solves at q = 0.55..0.97), fewer than
+    a start from the previous beta alone.
     """
     _validate_q(q)
     for name, value in (("mean_min", mean_min), ("mean_max", mean_max)):
@@ -183,17 +183,22 @@ def _columns(beta, rho, min_points):
 
 def _line(x, y):
     """Least-squares ``(intercept, slope)`` of ``y`` on ``x``, or None when
-    ``x`` is constant (or so nearly so that its spread underflows)."""
+    ``x`` is constant.
+
+    x is scaled by a power of two into max|x| in [0.5, 1), and the slope
+    back, so that the spread of x cannot underflow; a power of two commutes
+    with every rounding here, so where it did not underflow the line is
+    bit for bit the unscaled one."""
     if len(set(x)) < 2:
         return None
+    e = math.frexp(max(map(abs, x)))[1]
+    if e:
+        x = [math.ldexp(v, -e) for v in x]
     n = len(x)
     x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
     dx = [v - x_mean for v in x]
-    sxx = math.fsum(d * d for d in dx)
-    if sxx == 0.0:
-        return None
-    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / sxx
-    return y_mean - slope * x_mean, slope
+    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / math.fsum(d * d for d in dx)
+    return y_mean - slope * x_mean, math.ldexp(slope, -e)
 
 
 def _goodness(rho, ss_res):
@@ -224,9 +229,12 @@ def fit_model_i(beta, rho) -> FitReport:
     ``beta`` and ``rho``."""
     beta, rho = _columns(beta, rho, min_points=3)
     regressor = [_model_i_regressor(b) for b in beta]
-    line = _line(regressor, rho)
+    try:
+        line = _line(regressor, rho)
+    except OverflowError:  # the slope, scaled back from subnormal regressors
+        raise OverflowError("Model I slope b exceeds the double range") from None
     if line is None:
-        raise SingularFit("all regressor values exp(-beta) are (nearly) identical")
+        raise SingularFit("all regressor values exp(-beta) are identical")
     a, b = line
     residuals = [r - (a + b * x) for r, x in zip(rho, regressor)]
     rmse, r_squared = _goodness(rho, math.fsum(e * e for e in residuals))

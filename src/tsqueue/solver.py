@@ -3,9 +3,9 @@
 solve_beta takes Newton steps on ln mean as a function of ln beta.  One
 excess pass (zeta.excess_sums) at each iterate gives the mean, c E1/S,
 and its slope d ln mean / d ln c = s (H2/E1 - G1/S), neither of which
-cancels; the log-log step took 4.4 iterations per solve on the figure
-grids from the default start, where Newton on the raw constraint took
-7.5.  From the Hermite starts of fitting.generate_correspondence, which
+cancels.  The log-log step takes 4.4 iterations per solve on the figure
+grids from the default start, fewer than Newton on the raw constraint.
+From the Hermite starts of fitting.generate_correspondence, which
 read the same slope (_log_slope) at each solved beta, a default-grid
 solve takes 2.79 fresh passes.  The mean is strictly
 decreasing in beta, so every mean the solver evaluates also narrows a

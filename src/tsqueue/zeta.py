@@ -18,9 +18,9 @@ times the integral of |f^(22)| from N) stays below 1e-16 of the partial
 sum plus the integral tail, tested in linear space.  The corrections cost
 a few multiplications once per sum, where each direct term costs a log1p,
 an exp2 and the bound's test, so the order is high: on the default figure
-grids a pass takes 5.4 direct terms, against 12.3 with corrections to
-B14.  At N = 0 the tails start at the exact term t_0 = 1.  A term that
-underflows ends a loop, as every tail is then below the smallest double.
+grids a pass takes 5.4 direct terms.  At N = 0 the tails start at the
+exact term t_0 = 1.  A term that underflows ends a loop, as every tail is
+then below the smallest double.
 
 The single sum S is _scaled_sum.  For f = (1 + x/a)**(-s) the integral of
 |f^(22)| from N is (s)_21 t_N / Y**21, which its test takes as
@@ -46,13 +46,11 @@ solve's last pass.
 No loop here is free of the libm variant glibc picks by CPU: a log1p
 whose last bit differs reaches a sum where the term is large enough.
 Both loops take exp as exp2, which has one variant, so only log1p remains
-to them.  Over 30,000 (s, c) drawn across the figure domain (q uniform in
-[0.55, 0.97], beta log-uniform in [0.05, 50] through exp2), with glibc
-2.36's AVX2 and FMA variants masked against unmasked, 26 passes and no
-single sum differed in some last bit (40 and 4 with corrections to B14).
-A ln(1 + x) from float arithmetic and a table alone gave the same bits
-under both, but at about 0.2 us more per term it spent most of what the
-order-22 rule saves (ROADMAP.md, item 5).
+to them.  How often a pass, a single sum or a solve then differs in some
+last bit is measured in README.md ("Install and test").  A ln(1 + x) from
+float arithmetic and a table alone gave the same bits under both, but at
+about 0.2 us more per term it spent most of what the order-22 rule saves
+(ROADMAP.md, item 5).
 """
 
 import math
@@ -187,34 +185,28 @@ def _exp(y):
 
 @lru_cache(maxsize=1 << 6)  # a solve or a figure row reads one q; an entry is about 0.5 kB
 def _excess_terms(s, q):
-    """What one excess pass needs of (s, q) alone.
+    """What one excess pass needs of (s, q) beyond _single_terms(s).
 
     The exponent differences come from q, where 1 - q and 2q - 1 are
     exact: s - 1 = q/(1-q), s - 2 = (2q-1)/(1-q) and s - 3 =
     (q - 2(1-q))/(1-q), whose numerator is exact for q <= 0.8 (Sterbenz)
-    and free of cancellation above.  Returns -s log2(e); (s + 23)/(2 pi), the
-    least c + N where the corrections decrease; the integrals'
-    coefficients 1/(s-1), 1/((s-1)(s-2)), 2/((s-1)(s-2)(s-3)) (0 where
-    E2 diverges) and their s + 1 counterparts 1/s, 1/(s(s-1)),
-    2/(s(s-1)(s-2)); and the five remainder-bound coefficients over the
-    target, each a multiple of P(s) = (s)_21/s**21 <= 20!, so that none
-    overflows up to s = 2**53, where (s)_22 itself would.
+    and free of cancellation above.  Returns -s log2(e); the single sum's
+    span (s + 23)/(2 pi); the integrals' coefficients 1/(s-1),
+    1/((s-1)(s-2)), 2/((s-1)(s-2)(s-3)) (0 where E2 diverges) and their
+    s + 1 counterparts 1/s, 1/(s(s-1)), 2/(s(s-1)(s-2)); and the five
+    remainder-bound coefficients, each a multiple of the single sum's.
     """
+    span, _, kp, _ = _single_terms(s)
     om = 1.0 - q
     sm1, sm2, sm3 = q / om, (2.0 * q - 1.0) / om, (q - 2.0 * om) / om
     i = 1.0 / s
-    kp = (_BOUND_COEF * (1.0 + i) * (1.0 + 2.0 * i) * (1.0 + 3.0 * i) * (1.0 + 4.0 * i)
-          * (1.0 + 5.0 * i) * (1.0 + 6.0 * i) * (1.0 + 7.0 * i) * (1.0 + 8.0 * i)
-          * (1.0 + 9.0 * i) * (1.0 + 10.0 * i) * (1.0 + 11.0 * i) * (1.0 + 12.0 * i)
-          * (1.0 + 13.0 * i) * (1.0 + 14.0 * i) * (1.0 + 15.0 * i) * (1.0 + 16.0 * i)
-          * (1.0 + 17.0 * i) * (1.0 + 18.0 * i) * (1.0 + 19.0 * i) * (1.0 + 20.0 * i))
     # Leibniz' sum over f^(22) of x^j (1 + x/c)^(-sigma), bounded with x <= c + x,
     # integrates from N to (sigma)_22 (1 + 22j/(sigma+21) + 462[j=2]/((sigma+20)(sigma+21)))
     # g Y**(j-21)/((sigma + 21 - j) c**j).  With (s)_22 = s**21 P(s) (s+21) and
     # (s+1)_22 = s**20 P(s) (s+21)(s+22), that is the coefficient times (s/Y)**21 t (Y/c)**j
     # for E_j, and (s/Y)**21 t (Y/c)**(j-1) for G1 and H2, whose g is t c/Y.
     s20 = s + 20.0
-    return (-s * _LOG2_E, (s + 23.0) / _TWO_PI,
+    return (-s * _LOG2_E, span,
             1.0 / sm1, 1.0 / (sm1 * sm2), 2.0 / (sm1 * sm2 * sm3) if sm3 > 0.0 else 0.0,
             i, 1.0 / (s * sm1), 2.0 / (s * sm1 * sm2),
             kp,
@@ -230,52 +222,44 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
 
     s must equal 1/(1-q) (DomainError otherwise): the exponent differences
     are formed from q, and s comes first so that tracers that bucket zeta
-    calls by (s, a) read it.  With x_k = k/c, t_k = (1 + x_k)**(-s) and u_k = t_k/(1 + x_k), the
-    sums over k >= 1 are E_j = sum x_k**j t_k (j = 0, 1, 2), G1 = sum x_k
-    u_k and H2 = sum x_k**2 u_k: the excess sums in units of c**j, so
-    that each stays finite wherever c is.  S(s, c) = 1 + E0, and the mean
-    is c E1/S with no difference of sums near 1.  E2 is inf where it
+    calls by (s, a) read it.  c is checked as the single sum's a is.  With
+    x_k = k/c, t_k = (1 + x_k)**(-s) and u_k = t_k/(1 + x_k), the sums
+    over k >= 1 are E_j = sum x_k**j t_k (j = 0, 1, 2), G1 = sum x_k u_k
+    and H2 = sum x_k**2 u_k: the excess sums in units of c**j, so that
+    each stays finite wherever c is.  S(s, c) = 1 + E0, and the mean is
+    c E1/S with no difference of sums near 1.  E2 is inf where it
     diverges (q <= 2/3).
 
-    Direct terms k = 1..N-1 share one log1p and one exp2; Euler-Maclaurin
-    covers k >= N for every series, with its integral, half-term and
-    eleven Bernoulli corrections (B2..B22), the derivatives of
-    x**j (1 + x/c)**(-sigma) taken by Leibniz' rule (sigma = s for E_j,
-    s + 1 for G1 and H2).  N is the first k >= 0 with 2 pi (c + k) >= s + 23
-    at which, for each series, Johansson's remainder bound
-    (arXiv:1309.2877, section 2: |R| <= 4/(2 pi)**22 times the integral
-    of |f^(22)| from N) stays below 1e-16 of its partial sum plus its
-    integral, tested in linear space; |f^(22)| is bounded term by term
-    in Leibniz' sum, with x <= c + x, and each bound is taken as a
-    multiple of P(s) (s/Y)**21 t, finite up to s = 2**53.  At N = 0 the tails start at the
-    exact term t_0 = 1, as the single sum's do, and E0 drops that term
-    again; from N = 1 they would start at t_1, one exp2 and one log1p
-    whose last bits every value would carry.  A boundary term that
-    underflows ends the pass with the tails taken as 0.  The rounding of
-    s ln(1 + k/c), about
+    The pass follows the module's Euler-Maclaurin rule with one cutoff N
+    that holds the remainder bound for every series, sigma = s for E_j and
+    s + 1 for G1 and H2.  At N = 0 E0 drops the exact t_0 = 1 again; from
+    N = 1 the tails would start at t_1, one exp2 and one log1p whose last
+    bits every value would carry.  The rounding of s ln(1 + k/c), about
     |ln t_k| * 2**-53 relative in t_k, dominates the error where the
     leading terms are tiny; over the mpmath box of the tests the error
     stayed below 6e-14 relative wherever the terms are normal doubles.
     Subnormal terms carry few bits, and E1, E2, G1 and H2, which scale
-    them by (k/c)**j, can be normal and still that far off.
+    them by (k/c)**j, can be normal and still that far off.  Raises
+    OverflowError where E1 or H2 leaves the double range.
     """
     s, c, q = float(s), float(c), float(q)
-    if not (math.isfinite(c) and 0.5 < q < 1.0 and s == 1.0 / (1.0 - q)):
+    if not (0.5 < q < 1.0 and s == 1.0 / (1.0 - q)):
         raise DomainError(f"excess sums need q in (1/2, 1) and s = 1/(1-q), got s={s}, q={q}")
-    if c <= 0.0:
-        raise DomainError(f"zeta requires a > 0, got a={c}")
+    _check(s, c)
     neg_s2, span, i1, i12, i123, j0, j01, j012, b0, b1, b2, bg, bh = _excess_terms(s, q)
-    has_e2 = i123 > 0.0
     log1p, exp2 = math.log1p, math.exp2
     # Where N = 0 can pass, the tails start at the exact term t_0 = 1 and
     # E0's partial sum starts at -1 to take that term out again.
     k, e0 = (0, -1.0) if c >= span else (1, 0.0)
-    e1 = e2 = g1 = h2 = 0.0
+    e1 = g1 = h2 = 0.0
+    # A divergent E2 is inf, and so is its tail: its test is skipped.
+    has_e2 = i123 > 0.0
+    e2 = ie2 = 0.0 if has_e2 else math.inf
     while True:
         x = k / c
         t = exp2(neg_s2 * log1p(x))
         if t == 0.0:  # every tail is below the smallest double
-            break
+            return e0, e1, e2, g1, h2
         y = c + k
         yc = 1.0 + x  # y/c
         w = x / yc  # k/(c + k), so that x u = t w: u = t/yc can underflow where x u does not
@@ -283,16 +267,14 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
             yi = 1.0 / y
             gy = t * y
             bv = t * (s * yi)**21  # below (2 pi)**21 t: s/Y < 2 pi here
-            # H2's test first: it binds most often, then E2's and G1's.
-            if (bh * bv * yc <= h2 + gy * (w * (x * j0 + 2.0 * yc * j01) + yc * j012)
+            # Each series' integral from N, kept for its tail.  H2's test
+            # first: it binds most often, then E2's and G1's.
+            if (bh * bv * yc <= h2 + (ih2 := gy * (w * (x * j0 + 2.0 * yc * j01) + yc * j012))
                     and (not has_e2 or b2 * bv * yc * yc
-                         <= e2 + gy * (x * (x * i1 + 2.0 * yc * i12) + yc * yc * i123))
-                    and bg * bv <= g1 + gy * (w * j0 + j01)
-                    and b1 * bv * yc <= e1 + gy * (x * i1 + yc * i12)
-                    and b0 * bv <= e0 + gy * i1):
-                e0, e1, e2, g1, h2 = _excess_tails(
-                    (e0, e1, e2, g1, h2), s, c, x, yc, w, t, gy, yi,
-                    (i1, i12, i123, j0, j01, j012))
+                         <= e2 + (ie2 := gy * (x * (x * i1 + 2.0 * yc * i12) + yc * yc * i123)))
+                    and bg * bv <= g1 + (ig1 := gy * (w * j0 + j01))
+                    and b1 * bv * yc <= e1 + (ie1 := gy * (x * i1 + yc * i12))
+                    and b0 * bv <= e0 + (ie0 := gy * i1)):
                 break
         e0 += t
         xt = x * t
@@ -304,18 +286,9 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
         k += 1
         if k > _MAX_TERMS:
             raise NoConvergence("Euler-Maclaurin cutoff search did not terminate")
-    return e0, e1, e2 if has_e2 else math.inf, g1, h2
-
-
-def _excess_tails(partials, s, c, x, yc, w, t, gy, yi, coefs):
-    """The partial sums plus each series' Euler-Maclaurin tail from N:
-    x = N/c, yc = Y/c for Y = c + N, w = N/Y, t = (1 + x)**(-s), gy = t Y.
-
-    The s + 1 series' boundary term is u = t/yc; its products are formed
-    from t and gy (u Y = t c, u N = t w), which do not underflow before
-    the tails they carry."""
-    e0, e1, e2, g1, h2 = partials
-    i1, i12, i123, j0, j01, j012 = coefs
+    # The tails from N: x = N/c, yc = Y/c for Y = c + N, w = N/Y, gy = t Y.  The
+    # s + 1 series' boundary term u = t/yc enters through t and gy (u Y = t c,
+    # u N = t w), which do not underflow before the tails they carry.
     c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _EM_COEFFS
     d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = _EM_SLOPES
     a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = _EM_CURVES
@@ -361,13 +334,11 @@ def _excess_tails(partials, s, c, x, yc, w, t, gy, yi, coefs):
     gx, tw, ts = t * x, t * w, t / s
     gnw = gy * w / s  # u Y N / (s c), the s + 1 series' correction scale times N/c
     half_w0 = 0.5 + w0
-    e0 += gy * i1 + t * half_w0
-    e1 += gy * (x * i1 + yc * i12) + gx * half_w0 + t * w1 * ic
-    e2 += (gy * (x * (x * i1 + 2.0 * yc * i12) + yc * yc * i123)
-           + gx * (x * half_w0 + 2.0 * w1 * ic) + t * w2 * ic * ic)
-    g1 += gy * (w * j0 + j01) + 0.5 * tw + gnw * v0 + ts * v1
-    h2 += (gy * (w * (x * j0 + 2.0 * yc * j01) + yc * j012) + 0.5 * tw * x
-           + gnw * (x * v0 + 2.0 * v1 * ic) + ts * v2 * ic)
+    e0 += ie0 + t * half_w0
+    e1 += ie1 + gx * half_w0 + t * w1 * ic
+    e2 += ie2 + gx * (x * half_w0 + 2.0 * w1 * ic) + t * w2 * ic * ic
+    g1 += ig1 + 0.5 * tw + gnw * v0 + ts * v1
+    h2 += ih2 + 0.5 * tw * x + gnw * (x * v0 + 2.0 * v1 * ic) + ts * v2 * ic
     if not (math.isfinite(e1) and math.isfinite(h2)):
         raise OverflowError(f"excess sums overflow for s={s}, a={c}")
     return e0, e1, e2, g1, h2
@@ -390,11 +361,15 @@ def hurwitz_zeta(s: float, a: float) -> float:
     (huge s with a < 1, or deep underflow); use log_hurwitz_zeta there.
     """
     s, a = float(s), float(a)
-    ssum = _scaled_sum(s, a)
     try:
-        prefactor = a ** (-s)
-    except OverflowError:
-        prefactor = math.inf
+        ssum = _scaled_sum(s, a)
+    except OverflowError:  # S is not a double, but zeta, below e**37 there, can be
+        prefactor, ssum = math.exp(log_hurwitz_zeta(s, a)), 1.0
+    else:
+        try:
+            prefactor = a ** (-s)
+        except OverflowError:
+            prefactor = math.inf
     value = prefactor * ssum
     if not math.isfinite(value):
         raise OverflowError(
@@ -416,7 +391,13 @@ def log_hurwitz_zeta(s: float, a: float) -> float:
     Raises OverflowError where ln zeta itself leaves the double range.
     """
     s, a = float(s), float(a)
-    value = math.log(_scaled_sum(s, a)) - s * math.log(a)
+    try:
+        value = math.log(_scaled_sum(s, a)) - s * math.log(a)
+    except OverflowError:
+        # S overflows only for s < 2 with a/(s - 1) beyond the double range.  The
+        # cutoff is N = 0 there, S = a/(s - 1) + 1/2 + O(s/a), and so
+        # ln zeta = -(s - 1) ln a - ln(s - 1) to double precision.
+        return -(s - 1.0) * math.log(a) - math.log(s - 1.0)
     if math.isinf(value):
         raise OverflowError(f"ln zeta({s}, {a}) exceeds the double range")
     return value

@@ -132,6 +132,14 @@ def test_rejects_arguments_outside_the_domain(s, c, q):
         excess_sums(s, c, q)
 
 
+@pytest.mark.parametrize("c", [math.inf, math.nan])
+def test_non_finite_shift_is_refused_as_the_single_sum_refuses_it(c):
+    with pytest.raises(DomainError, match="must be finite"):
+        excess_sums(4.0, c, 0.75)
+    with pytest.raises(DomainError, match="must be finite"):
+        scaled_hurwitz_zeta(4.0, c)
+
+
 def test_memoized():
     excess_sums(4.0, 3.25, 0.75)
     before = excess_sums.cache_info().hits

@@ -198,6 +198,24 @@ class TestModelI:
         rmse_high = math.sqrt(np.mean(relative[~low] ** 2))
         assert rmse_low < rmse_high
 
+    @pytest.mark.parametrize("b0", [360.0, 400.0])
+    def test_regressor_whose_spread_underflows_unscaled(self, b0):
+        # exp(-beta) near 1e-157 and 1e-174: the squared deviations of x
+        # lose bits (b0 = 360) or underflow to 0 (b0 = 400) unless x is scaled.
+        beta = [b0 + 0.5 * i for i in range(20)]
+        rho = [0.2 + 0.3 * math.exp(b0 - b) for b in beta]
+        a, b = fit_model_i(beta, rho).params
+        assert a == pytest.approx(0.2, rel=1e-13)
+        assert b == pytest.approx(0.3 * math.exp(b0), rel=1e-13)
+
+    def test_slope_beyond_the_double_range(self):
+        # Subnormal regressors exp(-beta) of rho = 0.2 + 0.3 exp(720 - beta):
+        # b = 0.3 e**720 is no double.
+        beta = [720.0 + 0.5 * i for i in range(20)]
+        rho = [0.2 + 0.3 * math.exp(720.0 - b) for b in beta]
+        with pytest.raises(OverflowError, match="slope b exceeds the double range"):
+            fit_model_i(beta, rho)
+
     def test_singular_data(self):
         with pytest.raises(SingularFit):
             fit_model_i([1.0, 1.0, 1.0], [0.3, 0.4, 0.5])

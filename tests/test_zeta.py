@@ -216,6 +216,16 @@ class TestDomainAndRange:
         with pytest.raises(NoConvergence, match="cutoff search did not terminate"):
             loop(*_BUDGET_CALLS[loop])
 
+    @pytest.mark.parametrize("s,a", [(1.0001, 1e305), (1.5, 1e308), (1.000001, 1e303)])
+    def test_zeta_where_the_scaled_sum_overflows(self, s, a):
+        # a/(s - 1) beyond the double range: S is not a double, but zeta is.
+        with pytest.raises(OverflowError, match="scaled zeta sum overflows"):
+            scaled_hurwitz_zeta(s, a)
+        with mp.workdps(40):
+            ref = mp.log(mp.zeta(s, a))
+            assert abs(log_hurwitz_zeta(s, a) - ref) <= 1e-14 * abs(ref)
+        assert rel(hurwitz_zeta(s, a), math.exp(log_hurwitz_zeta(s, a))) <= 1e-13
+
     def test_underflow_directs_to_log_variant(self):
         with pytest.raises(OverflowError):
             hurwitz_zeta(500.0, 100.0)
