@@ -10,16 +10,17 @@ assembled in the log domain from the scaled zeta sum S(s, a), so the
 q -> 1 regime (s in the thousands) stays representable.
 
 The moments come from one pass, zeta.excess_sums, over the terms k >= 1
-of the law: with S = S(s, c) = 1 + E0, the mean is c E1/S, the
-utilization E0/S and the variance c**2 (E2/S - (E1/S)**2).  None of them
-is a difference of sums near 1, which lost every digit at large beta and
-near q -> 1 (the mean and utilization of q = 0.9, beta = 700 read 0; the
-variance of q = 0.999999999, beta = 1e-5 read -1.8e13).  pmf, tail and
-the asymptote keep the single sum S(s, a): a probability is a ratio of
-sums, not a difference, so it has nothing to cancel, and the single sum
-is cheaper than the five-series pass.  The pass is memoized like the
-single sum, so a figure row that reads the variance or the utilization
-at a beta the solver has just returned reads the solver's last pass.
+of the law: with S = S(s, c) = 1 + E0, the mean is c E1/S, the second
+moment c**2 E2/S, the utilization E0/S and the variance
+c**2 (E2/S - (E1/S)**2).  None of them is a difference of sums near 1,
+which lost every digit at large beta and near q -> 1 (the mean and
+utilization of q = 0.9, beta = 700 read 0; the variance of
+q = 0.999999999, beta = 1e-5 read -1.8e13).  pmf, tail and the asymptote
+keep the single sum S(s, a): a probability is a ratio of sums, not a
+difference, so it has nothing to cancel, and the single sum is cheaper
+than the five-series pass.  The pass is memoized like the single sum, so
+a figure row that reads the variance or the utilization at a beta the
+solver has just returned reads the solver's last pass.
 """
 
 import math
@@ -27,7 +28,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, MomentDoesNotExist, NoConvergence
+from .errors import DomainError, MomentDoesNotExist
 from .zeta import excess_sums, scaled_hurwitz_zeta
 
 __all__ = [
@@ -186,33 +187,17 @@ def mean(model: QueueModel) -> float:
 
 
 def moment(model: QueueModel, k) -> float:
-    """E[i**k], finite only for q > k/(k+1).
-
-    For k >= 3, expands i**k = ((c+i) - c)**k binomially into zeta(s-j, c) ratios,
-    each good to about 1e-13, and raises NoConvergence where their sum cancels below 1e-10.
-    """
+    """E[i**k] for k = 1 or 2 from the excess pass: the mean, or c**2 E2/S,
+    which is finite only for q > 2/3.  Any other k is a DomainError."""
     k = _index(k, "k")
-    if k < 1:
-        raise DomainError(f"moment order must be >= 1, got {k}")
-    if model.q <= k / (k + 1.0):
-        raise MomentDoesNotExist(
-            f"E[i^{k}] diverges: requires q > {k}/{k + 1}, got q={model.q}"
-        )
     if k == 1:
         return mean(model)
-    if k == 2:  # c**2 E2/S: the binomial sum below read -1.8e13 at q = 0.999999999, beta = 1e-5
-        e0, _, e2 = _excess(model)[:3]
-        return model.c * (model.c * (e2 / (1.0 + e0)))
-    s, c = model.s, model.c
-    log_s0 = _log_scaled(s, c)
-    terms = [
-        math.comb(k, j) * (-1.0) ** (k - j) * math.exp(_log_scaled(s - j, c) - log_s0)
-        for j in range(k + 1)
-    ]
-    total = math.fsum(terms)
-    if not math.fsum(map(abs, terms)) * 1e-13 <= 1e-10 * abs(total):
-        raise NoConvergence(f"E[i^{k}]'s binomial sum cancels at q={model.q}, beta={model.beta}")
-    return c**k * total
+    if k != 2:
+        raise DomainError(f"moment order must be 1 or 2, got {k}")
+    if model.q <= _TWO_THIRDS:
+        raise MomentDoesNotExist(f"E[i^2] diverges: requires q > 2/3, got q={model.q}")
+    e0, _, e2 = _excess(model)[:3]
+    return model.c * (model.c * (e2 / (1.0 + e0)))
 
 
 def variance(model: QueueModel) -> float:

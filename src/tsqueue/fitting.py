@@ -77,9 +77,9 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
     the cubic through the last two solves, then the quintic through the last
     three, each matching ln beta and its slope d ln beta / d ln mean =
     -1 / (d ln mean / d ln c), read from the excess pass at the solved beta
-    (the solver's last, so a cache hit).  On the default grid that takes
-    2.79 fresh passes per solve (500 solves at q = 0.55..0.97), fewer than
-    a start from the previous beta alone.
+    (the solver's last, so a cache hit).  That takes fewer fresh passes per
+    solve than a start from the previous beta alone (README.md, "CLI",
+    gives the counts).
     """
     _validate_q(q)
     for name, value in (("mean_min", mean_min), ("mean_max", mean_max)):

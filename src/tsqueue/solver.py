@@ -3,11 +3,11 @@
 solve_beta takes Newton steps on ln mean as a function of ln beta.  One
 excess pass (zeta.excess_sums) at each iterate gives the mean, c E1/S,
 and its slope d ln mean / d ln c = s (H2/E1 - G1/S), neither of which
-cancels.  The log-log step takes 4.4 iterations per solve on the figure
-grids from the default start, fewer than Newton on the raw constraint.
-From the Hermite starts of fitting.generate_correspondence, which
-read the same slope (_log_slope) at each solved beta, a default-grid
-solve takes 2.79 fresh passes.  The mean is strictly
+cancels.  The log-log step takes fewer iterations than Newton on the raw
+constraint, and a solve from the Hermite starts of
+fitting.generate_correspondence, which read the same slope (_log_slope)
+at each solved beta, takes fewer fresh passes than one from the default
+start; README.md ("CLI") gives the counts.  The mean is strictly
 decreasing in beta, so every mean the solver evaluates also narrows a
 bracket on the root; a step that leaves the bracket, or none at all, is
 replaced by a bisection point of it, in the same loop and iteration

@@ -50,7 +50,7 @@ to them.  How often a pass, a single sum or a solve then differs in some
 last bit is measured in README.md ("Install and test").  A ln(1 + x) from
 float arithmetic and a table alone gave the same bits under both, but at
 about 0.2 us more per term it spent most of what the order-22 rule saves
-(ROADMAP.md, item 5).
+(ROADMAP.md, "Bits that do not depend on glibc's libm variant").
 """
 
 import math

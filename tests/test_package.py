@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,14 @@ def test_package_exports_the_layer_modules_names():
         for name in layer.__all__:
             assert getattr(tsqueue, name) is getattr(layer, name)
     assert isinstance(tsqueue.__version__, str)
+
+
+def test_readme_lists_each_layer_modules_names():
+    readme = Path(__file__).parent.parent / "README.md"
+    listed = re.findall(r"^- `tsqueue\.(\w+)`: (`.*`)$", readme.read_text(), re.M)
+    assert [(module, re.findall(r"`(\w+)`", names)) for module, names in listed] == [
+        (layer.__name__.removeprefix("tsqueue."), layer.__all__) for layer in LAYERS
+    ]
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.2, math.nan, math.inf])
