@@ -7,11 +7,15 @@ cancels.  The log-log step takes fewer iterations than Newton on the raw
 constraint, and a solve from the Hermite starts of
 fitting.generate_correspondence, which read the same slope (_log_slope)
 at each solved beta, takes fewer fresh passes than one from the default
-start; README.md ("CLI") gives the counts.  The mean is strictly
-decreasing in beta, so every mean the solver evaluates also narrows a
-bracket on the root; a step that leaves the bracket, or none at all, is
-replaced by a bisection point of it, in the same loop and iteration
-budget.  No step halving is needed: over 3,000 draws of the queries
+start; README.md ("CLI") gives the counts.  A solve stops at an evaluated
+beta that meets the target once its next step is at most min(tol, 2**-52)
+in ln beta, or moves nothing: such a step changes beta by rounding alone,
+so no pass is spent on it, and the returned beta's pass is the solver's
+last (a cache hit for the grid's slope and the figures' moments).  The
+mean is strictly decreasing in beta, so every mean the solver evaluates
+also narrows a bracket on the root; a step that leaves the bracket, or
+none at all, is replaced by a bisection point of it, in the same loop and
+iteration budget.  No step halving is needed: over 3,000 draws of the queries
 domain and the 500 figure-grid solves, no step left the bracket.
 
 newton_step keeps the paper's closed-form step on the raw constraint,
@@ -92,8 +96,10 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
     bracket, or none where the pass gives no finite one, is replaced by
     the bracket's geometric midpoint, or twice / half its closed end
     while the other end is open, and fallback_used is set.
-    The solve stops once |mean - A| <= tol * A after a step of at most
-    tol in ln beta; the result's residual is |mean - A| at its beta.
+    The solve stops at an evaluated beta with |mean - A| <= tol * A once
+    the step from there is at most min(tol, 2**-52) in ln beta or moves
+    nothing, or the step to there was at most tol; the result's residual
+    is |mean - A| at its beta.
     """
     if beta0 is not None:
         _validate_positive("beta0", beta0)
@@ -142,14 +148,16 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
         beta = beta0
     else:  # ln(1 + 1/A), which is -ln A to double precision where 1/A would overflow
         beta = math.log1p(1.0 / A) if A > 1e-300 else -math.log(A)
+    floor = min(tol, 2.0**-52)
     resid, step = evaluate(beta)
     bisected = False
     for iterations in range(1, max_iter + 1):
         # A step is clamped to 700 in ln beta; a nan step stays nan.
         candidate = beta * _exp(min(max(step, -700.0), 700.0))
-        # A step below beta's resolution moves nothing: it ends the solve
-        # at the target, and goes to the bracket short of it.
-        if candidate == beta and abs(resid) <= target:
+        # A step below beta's resolution moves nothing, and one of at most
+        # floor in ln beta moves it by rounding alone: either ends the solve
+        # at the target, and the first goes to the bracket short of it.
+        if abs(resid) <= target and (candidate == beta or abs(step) <= floor):
             return SolverResult(beta, iterations, abs(resid), bisected)
         if not lo < candidate < hi or candidate == beta:
             if hi == math.inf:

@@ -124,11 +124,18 @@ def _single_terms(s):
     step R_(2j-1) = (s)_(2j-1)/Y**(2j-1) to R_(2j+1) with (s/Y)**2.  Each
     is at most 420, so nothing here overflows at any s.
     """
-    factors = tuple((1.0 + (2 * j - 1) / s) * (1.0 + 2 * j / s) for j in range(1, 11))
-    p = _BOUND_COEF
-    for f in factors:
-        p *= f
-    return (s + 23.0) / _TWO_PI, s - 1.0, p, factors
+    f1 = (1.0 + 1.0 / s) * (1.0 + 2.0 / s)
+    f2 = (1.0 + 3.0 / s) * (1.0 + 4.0 / s)
+    f3 = (1.0 + 5.0 / s) * (1.0 + 6.0 / s)
+    f4 = (1.0 + 7.0 / s) * (1.0 + 8.0 / s)
+    f5 = (1.0 + 9.0 / s) * (1.0 + 10.0 / s)
+    f6 = (1.0 + 11.0 / s) * (1.0 + 12.0 / s)
+    f7 = (1.0 + 13.0 / s) * (1.0 + 14.0 / s)
+    f8 = (1.0 + 15.0 / s) * (1.0 + 16.0 / s)
+    f9 = (1.0 + 17.0 / s) * (1.0 + 18.0 / s)
+    f10 = (1.0 + 19.0 / s) * (1.0 + 20.0 / s)
+    p = _BOUND_COEF * f1 * f2 * f3 * f4 * f5 * f6 * f7 * f8 * f9 * f10
+    return (s + 23.0) / _TWO_PI, s - 1.0, p, (f1, f2, f3, f4, f5, f6, f7, f8, f9, f10)
 
 
 @lru_cache(maxsize=1 << 10)

@@ -20,10 +20,12 @@ of the arithmetic on purpose re-captures them once, from the repo root,
     PYTHONPATH=src python tests/test_bit_identity.py
 
 and scores every changed number against an mpmath oracle under the oracle
-rule in ROADMAP.md: one off by more than 1e-14 relative must move closer,
-neither the worst nor the median error of the rest may rise, and no changed
-number may pass the worst old error.  CHANGES.md gets the counts of closer,
-further and same, and lists every number that misses the rule.
+rule in ROADMAP.md (``python tests/score_goldens.py PARENT_REF`` does so for
+the csv captures and the betas of solver-grid.txt): one off by more than
+1e-14 relative must move closer, neither the worst nor the median error of
+the rest may rise, and no changed number may pass the worst old error.
+CHANGES.md gets the counts of closer, further and same, and lists every
+number that misses the rule.
 """
 
 from pathlib import Path

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from tsqueue import fitting, zeta
-from tsqueue.distribution import QueueModel, mean
+from tsqueue.distribution import QueueModel, _zeta_shift, mean
 from tsqueue.errors import DomainError, NoConvergence, SingularFit
 from tsqueue.fitting import (
     FitReport,
@@ -25,6 +26,7 @@ GENERATE_CSV = Path(__file__).parent / "golden" / "generate.csv"
 # Model II's own law with 1% multiplicative noise, 36 points: file 143 of the
 # benchmark's fits workload at seed 215.
 NOISY_MODEL_II_CSV = Path(__file__).parent / "model_ii_noisy.csv"
+FIGURE_Q = (0.6, 0.7, 0.75, 0.8, 0.9, 0.95)  # every q of the default figures
 
 
 def columns(records):
@@ -64,14 +66,52 @@ class TestGenerateCorrespondence:
 
     @pytest.mark.parametrize("q", [0.6, 0.7, 0.8, 0.9, 0.95])
     def test_grid_solves_from_hermite_starts(self, q):
-        # Started cold from ln(1 + 1/A), the 50 solves took 234-286 passes;
-        # each from the previous beta, 184-194; from Hermite starts, 138-148.
+        # Started cold from ln(1 + 1/A), the 50 solves took 225-280 passes;
+        # each from the previous beta, 176-184; from Hermite starts, 114-124.
         zeta.excess_sums.cache_clear()
         records = generate_correspondence(q)
-        assert zeta.excess_sums.cache_info().misses <= 150
+        assert zeta.excess_sums.cache_info().misses <= 130
         if q == 0.6:
             for r in records:
                 assert abs(oracles.law_moments(q, r.beta)[0] - r.mean) <= 1e-10 * r.mean
+
+    def test_every_grid_solve_ends_on_a_cached_pass(self, monkeypatch):
+        # The solver returns a beta it evaluated, so the pass that the next
+        # Hermite start and figures 3 and 5 read there costs nothing.
+        misses = []
+
+        def solve_and_count(q, A, **knobs):
+            result = solve_beta(q, A, **knobs)
+            before = zeta.excess_sums.cache_info().misses
+            zeta.excess_sums(1.0 / (1.0 - q), _zeta_shift(q, result.beta), q)
+            misses.append(zeta.excess_sums.cache_info().misses - before)
+            return result
+
+        monkeypatch.setattr(fitting, "solve_beta", solve_and_count)
+        for q in FIGURE_Q:
+            zeta.excess_sums.cache_clear()
+            generate_correspondence(q)
+        assert misses == [0] * (50 * len(FIGURE_Q))
+
+    def test_no_solve_falls_back(self, monkeypatch):
+        # Neither the default grids' solves nor 2,000 cold solves over the
+        # queries domain of the benchmark (1 - q log-uniform in [1e-6, 0.45],
+        # A in [1e-2, 1e4]) need the bracket.
+        results = []
+
+        def solve_and_keep(q, A, **knobs):
+            results.append(solve_beta(q, A, **knobs))
+            return results[-1]
+
+        monkeypatch.setattr(fitting, "solve_beta", solve_and_keep)
+        for q in FIGURE_Q:
+            generate_correspondence(q)
+        rng = random.Random(20261020)
+        for _ in range(2000):
+            q = 1.0 - math.exp(rng.uniform(math.log(1e-6), math.log(0.45)))
+            results.append(solve_beta(q, math.exp(rng.uniform(math.log(1e-2), math.log(1e4)))))
+        assert len(results) == 50 * len(FIGURE_Q) + 2000
+        assert not any(r.fallback_used for r in results)
 
     @pytest.mark.parametrize("q", [0.5000001, 0.51, 0.99, 0.999999])
     def test_coarse_and_extreme_grids(self, q):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsqueue import zeta
 from tsqueue.distribution import QueueModel, mean
 from tsqueue.errors import DomainError, NoConvergence
 from tsqueue.solver import SolverResult, newton_step, solve_beta
@@ -100,6 +101,18 @@ class TestSolveBeta:
         assert not result.fallback_used
         assert result.iterations <= 12
         assert result.residual <= 1e-10 * A
+
+    def test_stops_where_the_next_step_is_rounding(self):
+        # From the Hermite start of the default q = 0.75 grid's last mean, the
+        # first Newton step lands at the root, and the next is at most 2**-52
+        # in ln beta: beta moves by rounding alone, so the solve stops after
+        # two passes.  Stopping only where a step moved nothing, it took a
+        # third, to 0.019851484232531812.
+        zeta.excess_sums.cache_clear()
+        result = solve_beta(0.75, 100.0, beta0=0.01985148427312376)
+        assert zeta.excess_sums.cache_info().misses == 2
+        assert result == SolverResult(beta=0.01985148423253181, iterations=2,
+                                      residual=1.4210854715202004e-14, fallback_used=False)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
