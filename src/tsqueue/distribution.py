@@ -18,11 +18,14 @@ utilization of q = 0.9, beta = 700 read 0; the variance of
 q = 0.999999999, beta = 1e-5 read -1.8e13).  pmf, tail and the asymptote
 keep the single sum S(s, a): a probability is a ratio of sums, not a
 difference, so it has nothing to cancel, and the single sum is cheaper
-than the five-series pass.  The pass is memoized like the single sum, so
-a figure row that reads the variance or the utilization at a beta the
-solver has just returned reads the solver's last pass.
+than the five-series pass.  A model computes ln S(s, c) on its first
+read and keeps it, so a report or a figure-4 row that reads several tail
+points sums S(s, c) once.  The pass is memoized by (s, c, q), so a figure
+row that reads the variance or the utilization at a beta the solver has
+just returned reads the solver's last pass.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -84,6 +87,12 @@ class QueueModel:
         object.__setattr__(self, "s", 1.0 / (1.0 - q))
         object.__setattr__(self, "c", _zeta_shift(q, beta))
 
+    @functools.cached_property
+    def _log_norm(self):
+        # ln S(s, c), the law's normalizer, summed on first read: the excess-pass
+        # metrics never read it.  Not a field, so repr, eq and hash ignore it.
+        return _log_scaled(self.s, self.c)
+
 
 class TailAsymptote(NamedTuple):
     coefficient: float
@@ -138,8 +147,7 @@ def _log_scaled(s, a):
 def log_pmf(model: QueueModel, i) -> float:
     """ln p_i, exact up to ~1e-13 even deep in the tail."""
     i = _index(i)
-    s, c = model.s, model.c
-    return -s * math.log1p(i / c) - _log_scaled(s, c)
+    return -model.s * math.log1p(i / model.c) - model._log_norm
 
 
 def pmf(model: QueueModel, i) -> float:
@@ -152,7 +160,7 @@ def tail(model: QueueModel, x) -> float:
     x = _index(x, "x")
     s, c = model.s, model.c
     return math.exp(
-        -s * math.log1p((x + 1) / c) + _log_scaled(s, c + x + 1) - _log_scaled(s, c)
+        -s * math.log1p((x + 1) / c) + _log_scaled(s, c + x + 1) - model._log_norm
     )
 
 
@@ -168,7 +176,7 @@ def tail_asymptote(model: QueueModel, x) -> TailAsymptote:
         raise DomainError(f"asymptote threshold must be >= 1, got {x}")
     s, c = model.s, model.c
     exponent = s - 1.0  # q/(1-q)
-    log_coef = s * math.log(c) - _log_scaled(s, c) - math.log(s - 1.0)
+    log_coef = s * math.log(c) - model._log_norm - math.log(s - 1.0)
     coefficient = math.exp(log_coef) if log_coef <= _LOG_MAX else math.inf
     log_value = log_coef - exponent * math.log(x)
     value = math.exp(log_value) if log_value <= _LOG_MAX else math.inf

@@ -26,12 +26,13 @@ The single sum S is _scaled_sum.  For f = (1 + x/a)**(-s) the integral of
 |f^(22)| from N is (s)_21 t_N / Y**21, which its test takes as
 P(s) (s/Y)**21 t_N with P(s) = (s)_21 / s**21: s/Y < 2 pi wherever the
 test runs, so the bound is finite at every s, and so is each correction.
-The last 1,024 values of S are cached by (s, a): one qos_report reads its
-few sums more than once, and a figure-4 row reads S(s, c) once per
-threshold.  P(s) and the corrections' factors are cached by s, as a solve
-or a figure evaluates one exponent at many shifts a.  Both caches only
-skip repeated work: every value is computed by the same floating-point
-operations, in the same order, as without them.
+S itself is not cached: the one value read more than once, a model's
+normalizer S(s, c), is kept by the model as its logarithm
+(distribution.QueueModel).  P(s) and the corrections' factors are cached
+by s, as a solve or a figure evaluates one exponent at many shifts a.
+Like the caches of the pass below, this one only skips repeated work:
+every value is computed by the same floating-point operations, in the
+same order, as without it.
 
 The moments and the solver read excess_sums, the second loop, over the
 terms k >= 1 of the law: its terms feed five series (E0, E1, E2, G1, H2;
@@ -57,7 +58,7 @@ import math
 import sys
 from functools import lru_cache
 
-from .errors import DomainError, NoConvergence
+from .errors import DomainError
 
 __all__ = [
     "hurwitz_zeta",
@@ -101,7 +102,25 @@ _BOUND_COEF = _REMAINDER_COEF / _REL_TARGET
 _LOG2_E = 1.4426950408889634
 
 _MIN_NORMAL = sys.float_info.min
-_MAX_TERMS = 10_000_000  # direct terms before a cutoff search gives up
+# Neither loop needs a term budget.  With Y = a + N (c + N in the pass) and
+# r = s/Y at a test:
+# - Before the cutoff, a + k < (s + 23)/(2 pi) gives s ln(1 + k/a) >=
+#   s k/(a + k) > 2 pi k - 23, so t_k < e**(23 - 2 pi k) is 0 from k = 123,
+#   which ends the loop: the cutoff comes at N <= 123 or not at all.
+# - Past it, the single sum's partial sum holds t_(N-m) for its m terms from
+#   the cutoff, and t_(N-m)/t_N = (Y/(Y - m))**s >= e**(r m).  Its test
+#   bound r**21 t <= partial + integral holds once e**(r m) >= bound r**21,
+#   which at every r takes m >= 21 bound**(1/21)/e: 61 with P(s) <= 21!, and
+#   8 where s >= 210 and P(s) <= e.  A single sum takes at most 184 direct
+#   terms.
+# - In the pass, the weights (k/c)**j of E1, E2, G1 and H2 leave the partial
+#   sums small where N << c, so its bound comes from the integrals.  From
+#   N = 1, each test holds on its integral alone where r**22 is below a
+#   function of s alone (E0's is s/((s - 1) b0)), and over s in (2, 2**53],
+#   the s of 1 - q >= 2**-53, the least of them gives r = 0.0404 (H2's, at
+#   s = 2**53).  While a test fails, then, r > 0.0404, and t_N <= e**(-N r)
+#   (s ln(1 + N/c) >= N s/(c + N)), which is 0 from N = 18,500 on.  The
+#   deepest pass found, at s = 2**53 and c = s/0.114, takes 202 terms.
 
 
 def _check(s, a):
@@ -138,9 +157,8 @@ def _single_terms(s):
     return (s + 23.0) / _TWO_PI, s - 1.0, p, (f1, f2, f3, f4, f5, f6, f7, f8, f9, f10)
 
 
-@lru_cache(maxsize=1 << 10)
 def _scaled_sum(s, a):
-    # Every single sum enters here.  A raise is not cached: each (s, a) is checked once.
+    # Every single sum enters here.
     _check(s, a)
     span, s_minus_1, bound, factors = _single_terms(s)
     log1p, exp2, log2_e = math.log1p, math.exp2, _LOG2_E
@@ -157,8 +175,6 @@ def _scaled_sum(s, a):
                 break
         partial += t
         k += 1
-        if k > _MAX_TERMS:
-            raise NoConvergence("Euler-Maclaurin cutoff search did not terminate")
         # -s log2(e) overflows above s = 1.2e308, -s ln(1 + k/a) only where t underflows.
         t = exp2(neg_s * log1p(k / a) * log2_e)
         if t == 0.0:  # every tail is below the smallest double
@@ -291,8 +307,6 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
         g1 += xu
         h2 += x * xu
         k += 1
-        if k > _MAX_TERMS:
-            raise NoConvergence("Euler-Maclaurin cutoff search did not terminate")
     # The tails from N: x = N/c, yc = Y/c for Y = c + N, w = N/Y, gy = t Y.  The
     # s + 1 series' boundary term u = t/yc enters through t and gy (u Y = t c,
     # u N = t w), which do not underflow before the tails they carry.

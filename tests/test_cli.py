@@ -12,7 +12,7 @@ import pytest
 
 import tsqueue
 import tsqueue.cli as cli
-from tsqueue import QueueModel, fitting, generate_correspondence, qos_report, solve_beta, zeta
+from tsqueue import QueueModel, distribution, fitting, generate_correspondence, qos_report, solve_beta
 from tsqueue.cli import figure_dataset, main
 from tsqueue.errors import DomainError
 from tsqueue.fitting import fit_model_i
@@ -74,13 +74,6 @@ class TestZetaCommand:
         assert (code, out) == (2, "")
         assert err == ("error: zeta(1e+155, 1e+155) underflows the normal double range; "
                        "use log_hurwitz_zeta\n")
-
-    def test_unterminated_cutoff_search_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(zeta, "_MAX_TERMS", 1)
-        zeta._scaled_sum.cache_clear()
-        code, out, err = run(capsys, "zeta", "3.25", "0.125")
-        assert (code, out) == (3, "")
-        assert err == "error: Euler-Maclaurin cutoff search did not terminate\n"
 
 
 class TestDistributionCommands:
@@ -423,6 +416,14 @@ class TestFigureCommand:
         assert header == "q,rho,overflow_at_10,overflow_at_100"
         records = run_json(capsys, *argv)["records"]
         assert [",".join(record) for record in records] == [header, header]
+
+    def test_figure_four_row_sums_the_normalizer_once(self, monkeypatch):
+        # Each row's model keeps ln S(s, c): three thresholds, four single sums.
+        calls, single_sum = [], distribution.scaled_hurwitz_zeta
+        monkeypatch.setattr(distribution, "scaled_hurwitz_zeta",
+                            lambda s, a: calls.append(a) or single_sum(s, a))
+        _, rows = figure_dataset(4, (0.75,), thresholds=(10, 100, 1000), points=2)
+        assert len(rows) == 2 and len(calls) == 8
 
     def test_figure_four_headers(self, capsys, tmp_path):
         out = tmp_path / "fig4.csv"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsqueue import distribution
 from tsqueue.distribution import (
     QueueModel,
     log_pmf,
@@ -293,6 +294,14 @@ class TestQosReport:
         assert report.variance is not None
         assert rel(report.variance, oracles.VARIANCE_075_1) <= 1e-8
         assert report.tail_exponent == pytest.approx(3.0)
+
+    def test_sums_the_normalizer_once(self, monkeypatch):
+        # p0, the asymptote and four tail points share the model's ln S(s, c).
+        calls, single_sum = [], distribution.scaled_hurwitz_zeta
+        monkeypatch.setattr(distribution, "scaled_hurwitz_zeta",
+                            lambda s, a: calls.append(a) or single_sum(s, a))
+        qos_report(QueueModel(0.75, 1.0), (0, 10, 100, 1000))
+        assert calls == [4.0, 5.0, 15.0, 105.0, 1005.0]
 
     def test_variance_absent_iff_q_at_most_two_thirds(self):
         assert qos_report(QueueModel(0.6, 1.0)).variance is None

@@ -1,4 +1,6 @@
 import math
+import random
+import types
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsqueue.errors import DomainError, NoConvergence
+from tsqueue.errors import DomainError
 from tsqueue import zeta
 from tsqueue.zeta import (
-    _scaled_sum,
     excess_sums,
     hurwitz_zeta,
     log_hurwitz_zeta,
@@ -143,8 +144,18 @@ def test_corrections_are_the_nearest_doubles_to_the_bernoulli_ratios():
     assert zeta._EM_COEFFS == tuple(float(r) for r in exact)
 
 
-# Each zeta loop, with arguments that need more than one direct term.
-_BUDGET_CALLS = {scaled_hurwitz_zeta: (3.25, 0.125), excess_sums: (4.0, 0.125, 0.75)}
+@pytest.fixture
+def direct_terms(monkeypatch):
+    """A one-item list counting the direct terms the zeta loops take from
+    here on: each term takes one log1p."""
+    count = [0]
+
+    def log1p(x):
+        count[0] += 1
+        return math.log1p(x)
+
+    monkeypatch.setattr(zeta, "math", types.SimpleNamespace(**{**vars(math), "log1p": log1p}))
+    return count
 
 
 class TestDomainAndRange:
@@ -192,15 +203,15 @@ class TestDomainAndRange:
             ref = mp.log(oracles._mp_scaled_sum(mp.mpf(s), mp.mpf(a))) - s * mp.log(a)
             assert abs(log_hurwitz_zeta(s, a) - ref) <= 1e-14 * abs(ref)
 
-    def test_extreme_arguments_need_few_terms(self, monkeypatch):
-        # A cutoff test that overflowed would never pass and spend the budget.
-        monkeypatch.setattr(zeta, "_MAX_TERMS", 100)
-        _scaled_sum.cache_clear()
+    def test_extreme_arguments_need_few_terms(self, direct_terms):
+        # A cutoff test that overflowed would never pass and run on.
         values = [float(x) for x in EXTREMES]
         pairs = [(s, a) for s in values if 1.0 < s < math.inf for a in values if 0.0 < a < math.inf]
         assert len(pairs) == 32
         for s, a in pairs:
+            direct_terms[0] = 0
             assert math.isfinite(scaled_hurwitz_zeta(s, a)), (s, a)
+            assert direct_terms[0] <= 100, (s, a)
             # ln zeta is -s ln a + ln S, beyond the double range where s ln a is.
             if math.isinf(s * math.log(a)):
                 with pytest.raises(OverflowError, match="exceeds the double range"):
@@ -208,13 +219,33 @@ class TestDomainAndRange:
             else:
                 assert math.isfinite(log_hurwitz_zeta(s, a)), (s, a)
 
-    @pytest.mark.parametrize("loop", list(_BUDGET_CALLS))
-    def test_term_budget_raises_no_convergence(self, monkeypatch, loop):
-        monkeypatch.setattr(zeta, "_MAX_TERMS", 1)
-        _scaled_sum.cache_clear()
-        excess_sums.cache_clear()
-        with pytest.raises(NoConvergence, match="cutoff search did not terminate"):
-            loop(*_BUDGET_CALLS[loop])
+    def test_every_loop_ends_within_its_bound(self, direct_terms):
+        # The module's termination argument: a single sum takes at most 184
+        # direct terms at any (s, a); the pass's proof allows 18,500 at
+        # s <= 2**53, where the deepest found, the first call here, takes
+        # 202.  Seeded draws over the whole domain take fewer.  The pass is
+        # called past its cache, so that each call sums.
+        rng = random.Random(29)
+        single_sum, excess_pass = scaled_hurwitz_zeta, excess_sums.__wrapped__
+        q = 1.0 - 2.0**-53
+        calls = [(excess_pass, (1.0 / (1.0 - q), 2.0**53 / 0.114, q))]
+        for _ in range(20_000):
+            calls.append((single_sum,
+                          (1.0 + 2.0 ** rng.uniform(-52, 1023), 2.0 ** rng.uniform(-1074, 1023))))
+            q = 1.0 - 2.0 ** rng.uniform(-53, -1)
+            s = 1.0 / (1.0 - q)
+            c = s * 2.0 ** rng.uniform(-20, 20) if rng.random() < 0.5 else 2.0 ** rng.uniform(-1074, 1023)
+            calls.append((excess_pass, (s, c, q)))
+        deepest = {single_sum: 0, excess_pass: 0}
+        for loop, args in calls:
+            direct_terms[0] = 0
+            try:
+                loop(*args)
+            except OverflowError:  # S, E1 or H2 beyond the double range
+                pass
+            deepest[loop] = max(deepest[loop], direct_terms[0])
+        assert deepest[single_sum] <= 184, deepest
+        assert 200 <= deepest[excess_pass] <= 250, deepest
 
     @pytest.mark.parametrize("s,a", [(1.0001, 1e305), (1.5, 1e308), (1.000001, 1e303)])
     def test_zeta_where_the_scaled_sum_overflows(self, s, a):
