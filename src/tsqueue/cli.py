@@ -127,7 +127,11 @@ def _render(output, fmt) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(["" if v is None else _fmt(v) for v in row] for row in rows)
+        if record:
+            writer.writerows(["" if v is None else _fmt(v) for v in row] for row in rows)
+        else:  # a dataset's rows hold floats alone, printed as _fmt prints them
+            template = ",".join(["%.17g"] * len(header)) + "\n"
+            buf.writelines(template % tuple(row) for row in rows)
         return buf.getvalue()
     if record:
         lines = output.table or [f"{k} = {_fmt(v)}" for k, v in output.fields.items()]

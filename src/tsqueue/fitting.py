@@ -5,8 +5,8 @@ recovering beta from the entropy model and rho from the storage model at
 the matching Hurst parameter, so each record carries both
 parameterizations of the same operating point.  Each beta solve starts
 from a Hermite extrapolation of the earlier ones (Allgower & Georg,
-*Numerical Continuation Methods*, 1990), whose slopes the solver's last
-excess passes give for free.
+*Numerical Continuation Methods*, 1990), whose slopes the solver's loop
+returns with each beta, read from its last excess pass.
 
 Two fit families are provided for rho as a function of beta:
 
@@ -23,11 +23,11 @@ import struct
 import sys
 from dataclasses import dataclass
 
-from .distribution import _validate_q, _zeta_shift
+from .distribution import _validate_q
 from .errors import DomainError, NoConvergence, SingularFit
 from .norros import hurst_from_q, norros_rho
-from .solver import _log_slope, solve_beta
-from .zeta import _exp, excess_sums
+from .solver import _solve
+from .zeta import _exp
 
 __all__ = [
     "CorrespondenceRecord",
@@ -41,7 +41,7 @@ __all__ = [
 _GRADIENT_TOL = 1e-10
 _MAX_GN_ITER = 500
 _POLISH_STEP = 1e-10  # Model II's last step in ln eta and ln mu
-_MAX_POINTS = 10**6  # about a minute, at 40-80 us per point
+_MAX_POINTS = 10**6  # about half a minute, at 30-34 us per point
 _LN_10 = 2.302585092994046  # ln 10, the nearest double
 _TANGENT_GAP = 2.0**-40  # a start this close to the tangent's, in ln beta, gains nothing
 
@@ -76,12 +76,12 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
     later one starts from a Hermite extrapolation of ln beta over ln mean:
     the cubic through the last two solves, then the quintic through the last
     three, each matching ln beta and its slope d ln beta / d ln mean =
-    -1 / (d ln mean / d ln c), read from the excess pass at the solved beta
-    (the solver's last, so a cache hit).  That takes fewer fresh passes per
+    -1 / (d ln mean / d ln c), which the solver's loop returns with the
+    solved beta, from its pass there.  That takes fewer fresh passes per
     solve than a start from the previous beta alone (README.md, "CLI",
     gives the counts).
     """
-    _validate_q(q)
+    fq = _validate_q(q)
     for name, value in (("mean_min", mean_min), ("mean_max", mean_max)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
@@ -104,7 +104,6 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
     if points > _MAX_POINTS:
         raise DomainError(f"points={points} exceeds the maximum of {_MAX_POINTS}")
     hurst = hurst_from_q(q)
-    s = 1.0 / (1.0 - q)
     h = _LN_10 * _grid_step(mean_min, mean_max, points)  # the grid's step in ln mean
     records, beta, known = [], None, []
     for target in _mean_grid(mean_min, mean_max, points):
@@ -130,15 +129,14 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
             step = max(-h, min(tangent, step))
             if abs(step - tangent) > _TANGENT_GAP:
                 beta0 = beta * _exp(step)
-        try:
-            beta = solve_beta(q, target, beta0=beta0).beta
+        try:  # solve_beta's loop, on the floats its checks would pass it
+            beta, _, _, _, slope = _solve(fq, float(target), beta0)
         except NoConvergence as exc:
             raise NoConvergence(
                 f"beta solve failed at mean={target}: {exc}",
                 beta=exc.beta, residual=exc.residual, iterations=exc.iterations,
             ) from exc
-        e0, e1, _, g1, h2 = excess_sums(s, _zeta_shift(q, beta), q)
-        known = [*known[-2:], (math.log(beta), -h / _log_slope(s, e0, e1, g1, h2))]
+        known = [*known[-2:], (math.log(beta), -h / slope)]
         rho = norros_rho(target, hurst)
         records.append(CorrespondenceRecord(mean=target, beta=beta, rho=rho, q=q))
     return records

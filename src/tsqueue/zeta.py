@@ -206,7 +206,7 @@ def _exp(y):
     return math.exp2(y * _LOG2_E)
 
 
-@lru_cache(maxsize=1 << 6)  # a solve or a figure row reads one q; an entry is about 0.5 kB
+@lru_cache(maxsize=1 << 6)  # a solve or a figure row reads one q; an entry is about 1.4 kB
 def _excess_terms(s, q):
     """What one excess pass needs of (s, q) beyond _single_terms(s).
 
@@ -216,8 +216,9 @@ def _excess_terms(s, q):
     and free of cancellation above.  Returns -s log2(e); the single sum's
     span (s + 23)/(2 pi); the integrals' coefficients 1/(s-1),
     1/((s-1)(s-2)), 2/((s-1)(s-2)(s-3)) (0 where E2 diverges) and their
-    s + 1 counterparts 1/s, 1/(s(s-1)), 2/(s(s-1)(s-2)); and the five
-    remainder-bound coefficients, each a multiple of the single sum's.
+    s + 1 counterparts 1/s, 1/(s(s-1)), 2/(s(s-1)(s-2)); the five
+    remainder-bound coefficients, each a multiple of the single sum's; and
+    s + 1, ..., s + 21, which step the tails' R_n, so that a pass adds none.
     """
     span, _, kp, _ = _single_terms(s)
     om = 1.0 - q
@@ -228,15 +229,20 @@ def _excess_terms(s, q):
     # g Y**(j-21)/((sigma + 21 - j) c**j).  With (s)_22 = s**21 P(s) (s+21) and
     # (s+1)_22 = s**20 P(s) (s+21)(s+22), that is the coefficient times (s/Y)**21 t (Y/c)**j
     # for E_j, and (s/Y)**21 t (Y/c)**(j-1) for G1 and H2, whose g is t c/Y.
-    s20 = s + 20.0
+    s19, s20, s21 = s + 19.0, s + 20.0, s + 21.0
+    # s + 1, ..., s + 21, the factors of the tails' R_2..R_22.
+    shifts = (s + 1.0, s + 2.0, s + 3.0, s + 4.0, s + 5.0, s + 6.0, s + 7.0, s + 8.0, s + 9.0,
+              s + 10.0, s + 11.0, s + 12.0, s + 13.0, s + 14.0, s + 15.0, s + 16.0, s + 17.0,
+              s + 18.0, s19, s20, s21)
     return (-s * _LOG2_E, span,
             1.0 / sm1, 1.0 / (sm1 * sm2), 2.0 / (sm1 * sm2 * sm3) if sm3 > 0.0 else 0.0,
             i, 1.0 / (s * sm1), 2.0 / (s * sm1 * sm2),
             kp,
             kp * (s + 43.0) / s20,
-            kp * (s + 65.0 + 462.0 / s20) / (s + 19.0),
+            kp * (s + 65.0 + 462.0 / s20) / s19,
             kp * (1.0 + 44.0 * i),
-            kp * ((s + 21.0) * (s + 66.0) + 462.0) * i / s20)
+            kp * (s21 * (s + 66.0) + 462.0) * i / s20,
+            shifts)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -269,7 +275,7 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
     if not (0.5 < q < 1.0 and s == 1.0 / (1.0 - q)):
         raise DomainError(f"excess sums need q in (1/2, 1) and s = 1/(1-q), got s={s}, q={q}")
     _check(s, c)
-    neg_s2, span, i1, i12, i123, j0, j01, j012, b0, b1, b2, bg, bh = _excess_terms(s, q)
+    neg_s2, span, i1, i12, i123, j0, j01, j012, b0, b1, b2, bg, bh, shifts = _excess_terms(s, q)
     log1p, exp2 = math.log1p, math.exp2
     # Where N = 0 can pass, the tails start at the exact term t_0 = 1 and
     # E0's partial sum starts at -1 to take that term out again.
@@ -314,28 +320,31 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
     d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = _EM_SLOPES
     a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = _EM_CURVES
     # R_n = (s)_n / Y**n, below (2 pi)**n: each (s + n - 1)/Y < 2 pi (s + 21)/(s + 23).
+    # p_n = s + n comes from _excess_terms.
+    (p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11,
+     p12, p13, p14, p15, p16, p17, p18, p19, p20, p21) = shifts
     q1 = s * yi
-    q2 = q1 * (s + 1.0) * yi
-    q3 = q2 * (s + 2.0) * yi
-    q4 = q3 * (s + 3.0) * yi
-    q5 = q4 * (s + 4.0) * yi
-    q6 = q5 * (s + 5.0) * yi
-    q7 = q6 * (s + 6.0) * yi
-    q8 = q7 * (s + 7.0) * yi
-    q9 = q8 * (s + 8.0) * yi
-    q10 = q9 * (s + 9.0) * yi
-    q11 = q10 * (s + 10.0) * yi
-    q12 = q11 * (s + 11.0) * yi
-    q13 = q12 * (s + 12.0) * yi
-    q14 = q13 * (s + 13.0) * yi
-    q15 = q14 * (s + 14.0) * yi
-    q16 = q15 * (s + 15.0) * yi
-    q17 = q16 * (s + 16.0) * yi
-    q18 = q17 * (s + 17.0) * yi
-    q19 = q18 * (s + 18.0) * yi
-    q20 = q19 * (s + 19.0) * yi
-    q21 = q20 * (s + 20.0) * yi
-    q22 = q21 * (s + 21.0) * yi
+    q2 = q1 * p1 * yi
+    q3 = q2 * p2 * yi
+    q4 = q3 * p3 * yi
+    q5 = q4 * p4 * yi
+    q6 = q5 * p5 * yi
+    q7 = q6 * p6 * yi
+    q8 = q7 * p7 * yi
+    q9 = q8 * p8 * yi
+    q10 = q9 * p9 * yi
+    q11 = q10 * p10 * yi
+    q12 = q11 * p11 * yi
+    q13 = q12 * p12 * yi
+    q14 = q13 * p13 * yi
+    q15 = q14 * p14 * yi
+    q16 = q15 * p15 * yi
+    q17 = q16 * p16 * yi
+    q18 = q17 * p17 * yi
+    q19 = q18 * p18 * yi
+    q20 = q19 * p19 * yi
+    q21 = q20 * p20 * yi
+    q22 = q21 * p21 * yi
     # With C_m = B_2m/(2m)!, -sum_m C_m f^(2m-1)(N) is g W0 for f = (1 + x/c)**(-s),
     # g (N W0 + W1) for x f and g (N**2 W0 + 2 N W1 + W2) for x**2 f.
     w0 = (c1 * q1 + c2 * q3 + c3 * q5 + c4 * q7 + c5 * q9 + c6 * q11 + c7 * q13

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -224,6 +226,18 @@ class TestGenerateAndFit:
         records = generate_correspondence(0.6, 0.1, 100.0, 50)
         assert columns == [list(column) for column in zip(*map(astuple, records))]
         assert cli._render((cli.CSV_HEADER, list(zip(*columns))), "csv") == text
+
+    def test_dataset_csv_matches_csv_writer_over_fmt(self):
+        # A dataset's rows go through one "%.17g" template each; the text is
+        # that of csv.writer over _fmt cells, extremes and non-finite included.
+        values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+        header = [f"v{i}" for i in range(len(values))]
+        rows = [tuple(values), tuple(reversed(values)), tuple(-v for v in values)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cli._fmt(v) for v in row] for row in rows)
+        assert cli._render((header, rows), "csv") == buf.getvalue()
 
     def test_fit_model_ordering(self, capsys, tmp_path):
         out = tmp_path / "data.csv"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsqueue import fitting, zeta
+from tsqueue import fitting, solver, zeta
 from tsqueue.distribution import QueueModel, _zeta_shift, mean
 from tsqueue.errors import DomainError, NoConvergence, SingularFit
 from tsqueue.fitting import (
@@ -76,42 +76,62 @@ class TestGenerateCorrespondence:
                 assert abs(oracles.law_moments(q, r.beta)[0] - r.mean) <= 1e-10 * r.mean
 
     def test_every_grid_solve_ends_on_a_cached_pass(self, monkeypatch):
-        # The solver returns a beta it evaluated, so the pass that the next
-        # Hermite start and figures 3 and 5 read there costs nothing.
+        # The solver returns a beta it evaluated, so the pass that figures
+        # 3 and 5 read there costs nothing.
         misses = []
 
-        def solve_and_count(q, A, **knobs):
-            result = solve_beta(q, A, **knobs)
+        def solve_and_count(q, A, *knobs):
+            found = solver._solve(q, A, *knobs)
             before = zeta.excess_sums.cache_info().misses
-            zeta.excess_sums(1.0 / (1.0 - q), _zeta_shift(q, result.beta), q)
+            zeta.excess_sums(1.0 / (1.0 - q), _zeta_shift(q, found[0]), q)
             misses.append(zeta.excess_sums.cache_info().misses - before)
-            return result
+            return found
 
-        monkeypatch.setattr(fitting, "solve_beta", solve_and_count)
+        monkeypatch.setattr(fitting, "_solve", solve_and_count)
         for q in FIGURE_Q:
             zeta.excess_sums.cache_clear()
             generate_correspondence(q)
         assert misses == [0] * (50 * len(FIGURE_Q))
 
+    def test_grid_slopes_are_those_of_the_returned_pass(self, monkeypatch):
+        # The slope each Hermite start reads is the loop's own, the one
+        # _log_slope gives from the pass at the returned beta.
+        slopes = []
+
+        def solve_and_keep(q, A, *knobs):
+            found = solver._solve(q, A, *knobs)
+            s = 1.0 / (1.0 - q)
+            e0, e1, _, g1, h2 = zeta.excess_sums(s, _zeta_shift(q, found[0]), q)
+            slopes.append((repr(found[4]), repr(solver._log_slope(s, e0, e1, g1, h2))))
+            return found
+
+        monkeypatch.setattr(fitting, "_solve", solve_and_keep)
+        for q in FIGURE_Q:
+            generate_correspondence(q)
+        assert len(slopes) == 50 * len(FIGURE_Q)
+        assert all(got == read for got, read in slopes)
+
     def test_no_solve_falls_back(self, monkeypatch):
         # Neither the default grids' solves nor 2,000 cold solves over the
         # queries domain of the benchmark (1 - q log-uniform in [1e-6, 0.45],
         # A in [1e-2, 1e4]) need the bracket.
-        results = []
+        fallbacks = []
 
-        def solve_and_keep(q, A, **knobs):
-            results.append(solve_beta(q, A, **knobs))
-            return results[-1]
+        def solve_and_keep(q, A, *knobs):
+            found = solver._solve(q, A, *knobs)
+            fallbacks.append(found[3])
+            return found
 
-        monkeypatch.setattr(fitting, "solve_beta", solve_and_keep)
+        monkeypatch.setattr(fitting, "_solve", solve_and_keep)
         for q in FIGURE_Q:
             generate_correspondence(q)
         rng = random.Random(20261020)
         for _ in range(2000):
             q = 1.0 - math.exp(rng.uniform(math.log(1e-6), math.log(0.45)))
-            results.append(solve_beta(q, math.exp(rng.uniform(math.log(1e-2), math.log(1e4)))))
-        assert len(results) == 50 * len(FIGURE_Q) + 2000
-        assert not any(r.fallback_used for r in results)
+            A = math.exp(rng.uniform(math.log(1e-2), math.log(1e4)))
+            fallbacks.append(solve_beta(q, A).fallback_used)
+        assert len(fallbacks) == 50 * len(FIGURE_Q) + 2000
+        assert not any(fallbacks)
 
     @pytest.mark.parametrize("q", [0.5000001, 0.51, 0.99, 0.999999])
     def test_coarse_and_extreme_grids(self, q):
