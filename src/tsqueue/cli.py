@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -44,6 +44,7 @@ from .fitting import (
     generate_correspondence,
 )
 from .norros import norros_mean, norros_rho
+from .record import Record
 from .solver import solve_beta
 from .zeta import hurwitz_zeta
 
@@ -54,7 +55,7 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_BAD_INPUT = 4
 
-CSV_HEADER = [field.name for field in fields(CorrespondenceRecord)]
+CSV_HEADER = list(CorrespondenceRecord._fields)
 
 
 class _Figure(NamedTuple):
@@ -102,14 +103,20 @@ def _finite(value):
     return value
 
 
-@dataclass(frozen=True)
-class _Record:
+class _Record(Record):
     """One command's flat record.  ``json`` and ``table`` replace the default
     views of ``fields`` where the command shows more than those fields."""
 
-    fields: dict
-    json: Optional[dict] = None
-    table: Optional[list] = None
+    __slots__ = _fields = ("fields", "json", "table")
+
+    def __init__(self, fields: dict, json: Optional[dict] = None,
+                 table: Optional[list] = None):
+        _set_fields(self, fields)
+        _set_json(self, json)
+        _set_table(self, table)
+
+
+_set_fields, _set_json, _set_table = (slot.__set__ for slot in _Record._slots.values())
 
 
 def _render(output, fmt) -> str:
@@ -156,7 +163,7 @@ def _write_output(out, text):
 # ---------------------------------------------------------------- CSV I/O
 
 def _correspondence(records):
-    return CSV_HEADER, [astuple(r) for r in records]
+    return CSV_HEADER, list(map(attrgetter(*CSV_HEADER), records))
 
 
 def _correspondence_columns(text):
@@ -227,7 +234,7 @@ _VARIANCE_NOTE = "variance undefined: requires q > 2/3 (second moment diverges)"
 def _cmd_metrics(args):
     model = QueueModel(args.q, args.beta)
     report = qos_report(model, **_given(args, tail_points=int))
-    fields = {"q": model.q, "beta": model.beta, **asdict(report)}
+    fields = {"q": model.q, "beta": model.beta, **report._asdict()}
     samples = fields.pop("tail_samples")
     payload = dict(fields, tail_samples=[{"x": x, "probability": p} for x, p in samples])
     shown = fields
@@ -242,7 +249,7 @@ def _cmd_metrics(args):
 
 def _cmd_solve_beta(args):
     result = solve_beta(args.q, args.mean, **_given(args, "beta0", "tol", "max_iter"))
-    return _Record({"q": args.q, "mean": args.mean, **asdict(result)})
+    return _Record({"q": args.q, "mean": args.mean, **result._asdict()})
 
 
 def _cmd_norros_mean(args):
@@ -264,7 +271,7 @@ def _cmd_fit(args):
     _, beta, rho, _ = _correspondence_columns(_read_text(args.infile))
     report = (fit_model_i if args.model == "I" else fit_model_ii)(beta, rho)
     names = ("a", "b") if report.model_kind == "I" else ("c", "eta", "d", "mu")
-    scores = asdict(report)  # rmse, r_squared, iterations, converged once popped
+    scores = report._asdict()  # rmse, r_squared, iterations, converged once popped
     kind = {"model": scores.pop("model_kind")}
     params = dict(zip(names, scores.pop("params")))
     return _Record({**kind, **params, **scores}, json={**kind, "params": params, **scores})

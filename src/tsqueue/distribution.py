@@ -25,13 +25,12 @@ row that reads the variance or the utilization at a beta the solver has
 just returned reads the solver's last pass.
 """
 
-import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, MomentDoesNotExist
+from .record import Record
 from .zeta import excess_sums, scaled_hurwitz_zeta
 
 __all__ = [
@@ -61,37 +60,46 @@ def _validate_q(q):
     return q
 
 
-@dataclass(frozen=True)
-class QueueModel:
+class QueueModel(Record):
     """Entropy index and Lagrange multiplier defining one queue-length law.
 
-    Construction also fixes the power-law exponent s = 1/(1-q) > 2 and the
-    zeta shift c = 1/(beta*(1-q)), finite and > 0.  Equality, hash and repr
-    read (q, beta) only.
+    An immutable record with fields (q, beta, s, c): construction also fixes
+    the power-law exponent s = 1/(1-q) > 2 and the zeta shift
+    c = 1/(beta*(1-q)), finite and > 0.  Equality, hash and repr read
+    (q, beta) only.
     """
 
-    q: float
-    beta: float
-    s: float = field(init=False, repr=False, compare=False)
-    c: float = field(init=False, repr=False, compare=False)
+    _fields = ("q", "beta", "s", "c")
+    _compared = ("q", "beta")
+    __slots__ = (*_fields, "_norm")
 
-    def __post_init__(self):
-        q = _validate_q(self.q)
-        beta = float(self.beta)
+    def __init__(self, q: float, beta: float):
+        q = _validate_q(q)
+        beta = float(beta)
         if not math.isfinite(beta):
             raise DomainError(f"model parameters must be finite, got q={q}, beta={beta}")
         if beta <= 0.0:
             raise DomainError(f"beta must be positive, got beta={beta}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "s", 1.0 / (1.0 - q))
-        object.__setattr__(self, "c", _zeta_shift(q, beta))
+        _set_q(self, q)
+        _set_beta(self, beta)
+        _set_s(self, 1.0 / (1.0 - q))
+        _set_c(self, _zeta_shift(q, beta))
+        _set_norm(self, None)
 
-    @functools.cached_property
+    @property
     def _log_norm(self):
         # ln S(s, c), the law's normalizer, summed on first read: the excess-pass
         # metrics never read it.  Not a field, so repr, eq and hash ignore it.
-        return _log_scaled(self.s, self.c)
+        norm = _get_norm(self)
+        if norm is None:
+            norm = _log_scaled(self.s, self.c)
+            _set_norm(self, norm)
+        return norm
+
+
+_set_q, _set_beta, _set_s, _set_c, _set_norm = (
+    slot.__set__ for slot in QueueModel._slots.values())
+_get_norm = QueueModel._slots["_norm"].__get__
 
 
 class TailAsymptote(NamedTuple):
@@ -100,17 +108,27 @@ class TailAsymptote(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class QosReport:
-    """Scalar QoS summary plus a table of overflow probabilities."""
+class QosReport(Record):
+    """Scalar QoS summary plus a table of overflow probabilities: an
+    immutable record."""
 
-    mean: float
-    variance: Optional[float]
-    utilization: float
-    p0: float
-    tail_exponent: float
-    tail_coefficient: float
-    tail_samples: tuple
+    __slots__ = _fields = ("mean", "variance", "utilization", "p0", "tail_exponent",
+                           "tail_coefficient", "tail_samples")
+
+    def __init__(self, mean: float, variance: Optional[float], utilization: float,
+                 p0: float, tail_exponent: float, tail_coefficient: float,
+                 tail_samples: tuple):
+        _set_mean(self, mean)
+        _set_variance(self, variance)
+        _set_utilization(self, utilization)
+        _set_p0(self, p0)
+        _set_tail_exponent(self, tail_exponent)
+        _set_tail_coefficient(self, tail_coefficient)
+        _set_tail_samples(self, tail_samples)
+
+
+(_set_mean, _set_variance, _set_utilization, _set_p0, _set_tail_exponent,
+ _set_tail_coefficient, _set_tail_samples) = (slot.__set__ for slot in QosReport._slots.values())
 
 
 def _zeta_shift(q, beta):

@@ -21,11 +21,11 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import dataclass
 
 from .distribution import _validate_q
 from .errors import DomainError, NoConvergence, SingularFit
 from .norros import hurst_from_q, norros_rho
+from .record import Record
 from .solver import _solve
 from .zeta import _exp
 
@@ -46,26 +46,42 @@ _LN_10 = 2.302585092994046  # ln 10, the nearest double
 _TANGENT_GAP = 2.0**-40  # a start this close to the tangent's, in ln beta, gains nothing
 
 
-@dataclass(frozen=True)
-class CorrespondenceRecord:
-    """One (mean, beta, rho, q) row linking the two parameterizations."""
+class CorrespondenceRecord(Record):
+    """One (mean, beta, rho, q) row linking the two parameterizations: an
+    immutable record."""
 
-    mean: float
-    beta: float
-    rho: float
-    q: float
+    __slots__ = _fields = ("mean", "beta", "rho", "q")
+
+    def __init__(self, mean: float, beta: float, rho: float, q: float):
+        _set_mean(self, mean)
+        _set_beta(self, beta)
+        _set_rho(self, rho)
+        _set_q(self, q)
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Fitted model, parameters in natural form, and goodness of fit."""
+_set_mean, _set_beta, _set_rho, _set_q = (
+    slot.__set__ for slot in CorrespondenceRecord._slots.values())
 
-    model_kind: str  # "I" or "II"
-    params: tuple
-    rmse: float
-    r_squared: float
-    iterations: int
-    converged: bool
+
+class FitReport(Record):
+    """Fitted model ("I" or "II"), parameters in natural form, and goodness
+    of fit: an immutable record."""
+
+    __slots__ = _fields = ("model_kind", "params", "rmse", "r_squared", "iterations",
+                           "converged")
+
+    def __init__(self, model_kind: str, params: tuple, rmse: float, r_squared: float,
+                 iterations: int, converged: bool):
+        _set_model_kind(self, model_kind)
+        _set_params(self, params)
+        _set_rmse(self, rmse)
+        _set_r_squared(self, r_squared)
+        _set_iterations(self, iterations)
+        _set_converged(self, converged)
+
+
+_set_model_kind, _set_params, _set_rmse, _set_r_squared, _set_iterations, _set_converged = (
+    slot.__set__ for slot in FitReport._slots.values())
 
 
 def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):

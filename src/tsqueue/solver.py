@@ -26,11 +26,11 @@ read from the same pass.
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Optional
 
 from .distribution import QueueModel, _validate_q, _zeta_shift
 from .errors import DomainError, NoConvergence
+from .record import Record
 from .zeta import _exp, excess_sums
 
 __all__ = ["SolverResult", "newton_step", "solve_beta"]
@@ -38,12 +38,21 @@ __all__ = ["SolverResult", "newton_step", "solve_beta"]
 _TOL, _MAX_ITER = 1e-10, 100  # solve_beta's defaults, which the grid's solves take
 
 
-@dataclass(frozen=True)
-class SolverResult:
-    beta: float
-    iterations: int
-    residual: float
-    fallback_used: bool
+class SolverResult(Record):
+    """A solved beta, the iterations taken, the final residual and whether a
+    bisection step replaced a Newton step: an immutable record."""
+
+    __slots__ = _fields = ("beta", "iterations", "residual", "fallback_used")
+
+    def __init__(self, beta: float, iterations: int, residual: float, fallback_used: bool):
+        _set_beta(self, beta)
+        _set_iterations(self, iterations)
+        _set_residual(self, residual)
+        _set_fallback_used(self, fallback_used)
+
+
+_set_beta, _set_iterations, _set_residual, _set_fallback_used = (
+    slot.__set__ for slot in SolverResult._slots.values())
 
 
 def _validate_positive(name, value):

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, astuple
 from importlib import resources
 from pathlib import Path
 
@@ -224,7 +223,8 @@ class TestGenerateAndFit:
         assert text.splitlines()[0] == "mean,beta,rho,q"
         columns = cli._correspondence_columns(text)
         records = generate_correspondence(0.6, 0.1, 100.0, 50)
-        assert columns == [list(column) for column in zip(*map(astuple, records))]
+        rows = [(r.mean, r.beta, r.rho, r.q) for r in records]
+        assert columns == [list(column) for column in zip(*rows)]
         assert cli._render((cli.CSV_HEADER, list(zip(*columns))), "csv") == text
 
     def test_dataset_csv_matches_csv_writer_over_fmt(self):
@@ -495,7 +495,7 @@ def _records(header, rows):
 
 def _metrics(q, beta, report):
     samples = [{"x": x, "probability": p} for x, p in report.tail_samples]
-    return {"q": q, "beta": beta, **asdict(report), "tail_samples": samples}
+    return {"q": q, "beta": beta, **report._asdict(), "tail_samples": samples}
 
 
 class TestOmittedFlags:
@@ -503,9 +503,9 @@ class TestOmittedFlags:
     # the library call with the library's own defaults.
     @pytest.mark.parametrize("argv,expected", [
         (["solve-beta", "--q", "0.75", "--mean", "2"],
-         lambda: {"q": 0.75, "mean": 2.0, **asdict(solve_beta(0.75, 2.0))}),
+         lambda: {"q": 0.75, "mean": 2.0, **solve_beta(0.75, 2.0)._asdict()}),
         (["generate", "--q", "0.6"],
-         lambda: {"records": [asdict(r) for r in generate_correspondence(0.6)]}),
+         lambda: {"records": [r._asdict() for r in generate_correspondence(0.6)]}),
         (["metrics", "--q", "0.75", "--beta", "1"],
          lambda: _metrics(0.75, 1.0, qos_report(QueueModel(0.75, 1.0)))),
         (["figure", "--id", "4", "--q-list", "0.7"],
@@ -546,6 +546,18 @@ print(json.dumps(loaded))
             "fit --model I": [0, False],
             "fit --model II": [0, True],
         }
+
+
+class TestStartupImports:
+    # The record types are plain classes, so importing the CLI loads neither
+    # dataclasses nor the inspect module it imports.  -S keeps out what the
+    # interpreter's site imports before tsqueue.
+    def test_cli_import_loads_no_dataclasses(self):
+        probe = ("import sys, tsqueue.cli; "
+                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        result = run_python("-S", "-c", probe)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
 
 class TestUsageErrors:
