@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DomainError, MomentDoesNotExist
 from .record import Record
-from .zeta import excess_sums, scaled_hurwitz_zeta
+from .zeta import _excess_pass, scaled_hurwitz_zeta
 
 __all__ = [
     "QueueModel",
@@ -202,8 +202,9 @@ def tail_asymptote(model: QueueModel, x) -> TailAsymptote:
 
 
 def _excess(model):
-    """The excess sums (E0, E1, E2, G1, H2) at model, in units of c**j."""
-    return excess_sums(model.s, model.c, model.q)
+    """The excess pass at model: (E0, E1, E2, G1, H2), in units of c**j,
+    then K2 and its error bound (zeta._excess_pass)."""
+    return _excess_pass(model.s, model.c, model.q)
 
 
 def mean(model: QueueModel) -> float:

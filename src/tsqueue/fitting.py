@@ -6,7 +6,8 @@ the matching Hurst parameter, so each record carries both
 parameterizations of the same operating point.  Each beta solve starts
 from a Hermite extrapolation of the earlier ones (Allgower & Georg,
 *Numerical Continuation Methods*, 1990), whose slopes the solver's loop
-returns with each beta, read from its last excess pass.
+returns with each beta: read from its last excess pass, or extrapolated
+from it where a certified Halley step ended the solve.
 
 Two fit families are provided for rho as a function of beta:
 
@@ -41,7 +42,7 @@ __all__ = [
 _GRADIENT_TOL = 1e-10
 _MAX_GN_ITER = 500
 _POLISH_STEP = 1e-10  # Model II's last step in ln eta and ln mu
-_MAX_POINTS = 10**6  # about half a minute, at 30-34 us per point
+_MAX_POINTS = 10**6  # about 20 s, at 18-21 us per point
 _LN_10 = 2.302585092994046  # ln 10, the nearest double
 _TANGENT_GAP = 2.0**-40  # a start this close to the tangent's, in ln beta, gains nothing
 
@@ -93,9 +94,10 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
     the cubic through the last two solves, then the quintic through the last
     three, each matching ln beta and its slope d ln beta / d ln mean =
     -1 / (d ln mean / d ln c), which the solver's loop returns with the
-    solved beta, from its pass there.  That takes fewer fresh passes per
-    solve than a start from the previous beta alone (README.md, "CLI",
-    gives the counts).
+    solved beta.  From such a start one Halley step, its remainder
+    certified (solver module docstring), usually ends the solve with no
+    pass at the beta it returns: about 1.1 fresh passes per solve, against
+    2.4 with Newton steps and a confirming pass (README.md, "CLI").
     """
     fq = _validate_q(q)
     for name, value in (("mean_min", mean_min), ("mean_max", mean_max)):
@@ -119,7 +121,7 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
         )
     if points > _MAX_POINTS:
         raise DomainError(f"points={points} exceeds the maximum of {_MAX_POINTS}")
-    hurst = hurst_from_q(q)
+    hurst = hurst_from_q(fq)
     h = _LN_10 * _grid_step(mean_min, mean_max, points)  # the grid's step in ln mean
     records, beta, known = [], None, []
     for target in _mean_grid(mean_min, mean_max, points):
@@ -146,7 +148,7 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
             if abs(step - tangent) > _TANGENT_GAP:
                 beta0 = beta * _exp(step)
         try:  # solve_beta's loop, on the floats its checks would pass it
-            beta, _, _, _, slope = _solve(fq, float(target), beta0)
+            beta, _, _, _, slope = _solve(fq, float(target), beta0, True)
         except NoConvergence as exc:
             raise NoConvergence(
                 f"beta solve failed at mean={target}: {exc}",
@@ -154,7 +156,7 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
             ) from exc
         known = [*known[-2:], (math.log(beta), -h / slope)]
         rho = norros_rho(target, hurst)
-        records.append(CorrespondenceRecord(mean=target, beta=beta, rho=rho, q=q))
+        records.append(CorrespondenceRecord(mean=target, beta=beta, rho=rho, q=fq))
     return records
 
 

@@ -1,24 +1,64 @@
 """Recover the Lagrange multiplier beta from a target mean queue size.
 
-solve_beta takes Newton steps on ln mean as a function of ln beta.  One
-excess pass (zeta.excess_sums) at each iterate gives the mean, c E1/S,
-and its slope d ln mean / d ln c = s (H2/E1 - G1/S), neither of which
-cancels.  The log-log step takes fewer iterations than Newton on the raw
-constraint, and a solve from the Hermite starts of
-fitting.generate_correspondence takes fewer fresh passes than one from
-the default start; README.md ("CLI") gives the counts.  The grid runs the
-solver's loop, _solve, itself, and takes each start's slope from what the
-loop returns with the beta: the slope it read from its last pass.  A
-solve stops at an evaluated beta that meets the target once its next step
-is at most min(tol, 2**-52) in ln beta, or moves nothing: such a step
-changes beta by rounding alone, so no pass is spent on it, and the
-returned beta's pass is the solver's last (a cache hit for the moments
-that figures 3 and 5 read there).  The mean is strictly decreasing in
-beta, so every mean the solver evaluates also narrows a bracket on the
-root; a step that leaves the bracket, or none at all, is replaced by a
-bisection point of it, in the same loop and iteration budget.  No step
-halving is needed: over 3,000 draws of the queries domain and the 500
-figure-grid solves, no step left the bracket.
+solve_beta takes Halley steps on ln mean as a function of ln beta.  One
+excess pass (zeta._excess_pass) at each iterate gives the mean, c E1/S,
+its slope f' = d ln mean / d ln c = s (H2/E1 - G1/S), neither of which
+cancels, and its curvature f'' (_log_curvature), which reads the pass's
+K2.  With u = ln c (ln beta = -u - ln(1-q)), x_k = k/c and w_k =
+x_k/(1 + x_k) in [0, 1), let E_S weigh k >= 0 by t_k/S and E_E by
+x_k t_k/E1.  As dt_k/du = s t_k w_k and dw_k/du = -w_k (1 - w_k),
+
+    f'/s   = E_E[w] - E_S[w],
+    f''/s  = E_S[w (1-w)] - E_E[w (1-w)] + s (Var_E w - Var_S w),
+    f'''/s = E_E[p] - E_S[p] + 3 s (Cov_S(w, w (1-w)) - Cov_E(w, w (1-w)))
+             + s**2 (M_E - M_S),
+
+with p = w (1-w) (1-2w) and M the third central moment of w.  In the
+pass's terms E_S[w] = G1/S, E_S[w**2] = K2/S, E_E[w] = H2/E1 and
+E_E[w (1-w)] = K2/E1 (x (1 - w) = w).  On [0, 1) w (1-w) and a variance
+lie in [0, 1/4], so |f''| <= s (1 + s)/4.  p spans sqrt(3)/9; the
+covariance of w with w (1-w), which spans 1/4, is at most (1/2)(1/8) =
+1/16 in size; and |M| <= max(m, 1-m) Var w <= max(m, 1-m) m (1-m) <= 4/27
+for w's mean m.  So |f'''| <= s (sqrt(3)/9 + 3 s/8 + 8 s**2/27).
+
+From an evaluated beta the step in ln beta is Halley's, d = n/(1 - b)
+with Newton's n = ln(mean/A)/f' and b = f'' n/(2 f'), where |b| <= 1/2
+and K2 is a normal double (subnormal terms leave a curvature few bits);
+Newton's otherwise, and where |n| is within the rounding floor below, as
+such a step ends the solve.  Cold solve_beta calls over the queries
+domain take fewer passes than Newton's steps alone; README.md ("CLI")
+gives the counts.
+
+The certificate.  Write F(u) = ln(mean/A) and D = -d, N = -n for the
+steps in u.  Taylor's theorem gives |F(u + D) - F - f' D - f'' D**2/2|
+<= |f'''|max |D|**3/6, and Halley's D leaves F + f' D + f'' D**2/2 =
+f'' D (D - N)/2.  With e bounding the error of the computed f'' (K2's
+remainder bound through df''/dK2 = -s (1+s) (1/S + 1/E1), plus rounding
+of s (1+s) 2**-36 from pass values good to 6e-14), |F(u + D)| <= B =
+|f''| |D| |D - N|/2 + e D**2/2 + |f'''|max |D|**3/6.  Within 2|D| of u,
+F' >= g = f' - 2|D| s (1+s)/4.  If g > 0 and B/g <= |D|, F is increasing
+on [u - 2|D|, u + 2|D|] and changes sign between u + D - B/g and
+u + D + B/g: the root lies within B/g of the step's end.  A solve with
+certify (the grid's, fitting.generate_correspondence) returns that end,
+unevaluated, once B/g <= 2**-60 in ln beta: below 2**-52, so below |D|
+where the evaluated stop below has not ended the solve, and 1/256 of the
+rounding of ln beta near 1.  The pass's values are taken as those of
+the function solved: their rounding, the floor that every stop shares,
+is not counted.  The slope there, f' + f'' D to within |f'''|max D**2/2,
+is what the grid's next Hermite start reads; figures 3 and 5 pay the
+pass at that beta when they read its moments.
+
+Every other solve stops at an evaluated beta that meets the target once
+its next step is at most min(tol, 2**-52) in ln beta, or moves nothing:
+such a step changes beta by rounding alone, so no pass is spent on it,
+and the returned beta's pass is the solver's last (a cache hit for the
+moments read there).  The mean is strictly decreasing in beta, so every
+mean the solver evaluates also narrows a bracket on the root; a step
+that leaves the bracket, or none at all, is replaced by a bisection
+point of it, in the same loop and iteration budget.  No step halving is
+needed: over 3,000 draws of the queries domain and 800 figure-grid
+solves (ten default grids over q in [0.55, 0.97] and the six of the
+default figures), no step left the bracket.
 
 newton_step keeps the paper's closed-form step on the raw constraint,
 read from the same pass.
@@ -26,21 +66,25 @@ read from the same pass.
 
 import math
 import operator
+import sys
 from typing import Optional
 
 from .distribution import QueueModel, _validate_q, _zeta_shift
 from .errors import DomainError, NoConvergence
 from .record import Record
-from .zeta import _exp, excess_sums
+from .zeta import _excess_pass, _exp, excess_sums
 
 __all__ = ["SolverResult", "newton_step", "solve_beta"]
 
 _TOL, _MAX_ITER = 1e-10, 100  # solve_beta's defaults, which the grid's solves take
+_CERTIFIED = 2.0**-60  # a certified step's bound in ln beta, far below a pass's rounding
+_ROUNDING = 2.0**-36  # the rounding of f'' over s (1 + s), from pass values good to 6e-14
+_MIN_NORMAL = sys.float_info.min
 
 
 class SolverResult(Record):
     """A solved beta, the iterations taken, the final residual and whether a
-    bisection step replaced a Newton step: an immutable record."""
+    bisection step replaced the solver's own step: an immutable record."""
 
     __slots__ = _fields = ("beta", "iterations", "residual", "fallback_used")
 
@@ -76,6 +120,21 @@ def _log_slope(s, e0, e1, g1, h2):
     return s * (h2 / e1 - g1 / (1.0 + e0))
 
 
+def _log_curvature(s, total, e1, g1, h2, k2):
+    """d**2 ln mean / d (ln c)**2 from one excess pass with S = 1 + E0:
+    s [(G1 - K2)/S - (1 + s) K2/E1 - s K2/S + s (mu (1 - mu) + (G1/S)**2)]
+    with mu = H2/E1 (see the module docstring)."""
+    mu, nu = h2 / e1, g1 / total
+    return s * ((g1 - k2) / total - (1.0 + s) * (k2 / e1) - s * (k2 / total)
+                + s * (mu * (1.0 - mu) + nu * nu))
+
+
+def _derivative_bounds(s):
+    """The module docstring's bounds on |f''| and |f'''|, from w in [0, 1):
+    s (1 + s)/4 and s (sqrt(3)/9 + 3 s/8 + 8 s**2/27)."""
+    return 0.25 * s * (1.0 + s), s * (0.19245008972987526 + s * (0.375 + s * (8.0 / 27.0)))
+
+
 def newton_step(q: float, beta: float, A: float) -> float:
     """Closed-form Newton increment for the mean constraint.
 
@@ -100,11 +159,12 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
                max_iter: int = _MAX_ITER) -> SolverResult:
     """Find beta with |mean(q, beta) - A| <= tol * A.
 
-    Newton iterates in (ln beta, ln mean) from beta0 (default
-    ln((A+1)/A), the exact q -> 1 solution): each step is
-    ln(mean/A) / (d ln mean / d ln c), read with the mean from one excess
-    pass, or from the first term, ln mean = -s ln(1 + 1/c), where every
-    term underflows; a step is clamped to 700 in ln beta.  Every mean
+    Halley iterates in (ln beta, ln mean) from beta0 (default
+    ln((A+1)/A), the exact q -> 1 solution): each step is Newton's,
+    ln(mean/A) / (d ln mean / d ln c), corrected by the curvature (see the
+    module docstring), read with the mean from one excess pass, or from
+    the first term, ln mean = -s ln(1 + 1/c), where every term
+    underflows; a step is clamped to 700 in ln beta.  Every mean
     evaluated narrows a bracket on the root.  A step that leaves the
     bracket, or none where the pass gives no finite one, is replaced by
     the bracket's geometric midpoint, or twice / half its closed end
@@ -124,17 +184,24 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     _validate_target(q, A)
-    beta, iterations, residual, bisected, _ = _solve(float(q), float(A), beta0, tol, max_iter)
+    beta, iterations, residual, bisected, _ = _solve(float(q), float(A), beta0, False, tol, max_iter)
     return SolverResult(beta, iterations, residual, bisected)
 
 
-def _solve(q, A, beta0, tol=_TOL, max_iter=_MAX_ITER):
+def _solve(q, A, beta0, certify=False, tol=_TOL, max_iter=_MAX_ITER):
     """solve_beta's loop, on float q and A and arguments it has checked:
     (beta, iterations, residual, fallback_used, slope), where slope is
-    d ln mean / d ln c (_log_slope) at the returned beta, from its pass."""
+    d ln mean / d ln c at the returned beta.  With certify, a Halley step
+    whose remainder is certified below 2**-60 in ln beta ends the solve
+    unevaluated: its residual is nan, and its slope f' + f'' d (see the
+    module docstring); otherwise the slope is _log_slope of the returned
+    beta's pass."""
     s = 1.0 / (1.0 - q)
     target = tol * A
     floor = min(tol, 2.0**-52)
+    if certify:
+        curve_bound, third_bound = _derivative_bounds(s)
+        rounding = s * (1.0 + s) * _ROUNDING
     lo, hi = 0.0, math.inf  # mean > A at lo, < A at hi
     if beta0 is not None:
         beta = beta0
@@ -144,11 +211,14 @@ def _solve(q, A, beta0, tol=_TOL, max_iter=_MAX_ITER):
     iterations = 0
     moved = math.inf  # no step led to the first beta
     while True:
-        # The residual mean - A at beta, and the Newton step in ln beta from
-        # there (nan where the pass gives none).
+        # The residual mean - A at beta, and the step in ln beta from there
+        # (nan where the pass gives none): Halley's where its correction to
+        # Newton's is at most half, Newton's otherwise and where Newton's is
+        # within the floor.
         c = _zeta_shift(q, beta)
+        newton = math.nan  # Newton's step, where the step is Halley's
         try:
-            e0, e1, _, g1, h2 = excess_sums(s, c, q)
+            e0, e1, _, g1, h2, k2, k2_bound = _excess_pass(s, c, q)
         except OverflowError:  # E1 past the double range: the mean is above every double
             lo = max(lo, beta)
             resid, step, slope = math.inf, math.nan, math.nan
@@ -174,6 +244,11 @@ def _solve(q, A, beta0, tol=_TOL, max_iter=_MAX_ITER):
                     else:  # the mean or the ratio left the double range
                         log_ratio = math.log(c) + math.log(e1 / total) - math.log(A)
                     step = log_ratio / slope
+                    if abs(step) > floor and k2 >= _MIN_NORMAL:  # no curvature for a stop
+                        curve = _log_curvature(s, total, e1, g1, h2, k2)
+                        bend = 0.5 * curve * step / slope
+                        if abs(bend) <= 0.5:
+                            newton, step = step, step / (1.0 - bend)
         residual = abs(resid)
         if moved <= tol and residual <= target:
             break
@@ -191,6 +266,16 @@ def _solve(q, A, beta0, tol=_TOL, max_iter=_MAX_ITER):
         # at the target, and the first goes to the bracket short of it.
         if residual <= target and (candidate == beta or abs(step) <= floor):
             break
+        if certify and newton == newton and lo < candidate < hi:
+            # The module docstring's certificate: the root lies within
+            # bound/gap of the step's end.
+            size = abs(step)
+            gap = slope - 2.0 * curve_bound * size  # the least f' within 2 |d| of beta
+            error = rounding + s * (1.0 + s) * k2_bound * (1.0 / total + 1.0 / e1)
+            bound = size * (0.5 * abs(curve) * abs(step - newton)
+                            + size * (0.5 * error + third_bound * size / 6.0))
+            if 0.0 < gap and bound <= _CERTIFIED * gap:
+                return candidate, iterations, math.nan, bisected, slope - curve * step
         if not lo < candidate < hi or candidate == beta:
             if hi == math.inf:
                 candidate = 2.0 * lo

@@ -42,7 +42,22 @@ near 1.  Its tails carry derivatives of x**j (1 + x/c)**(-sigma), bounded
 term by term in Leibniz' sum and held as multiples of P(s) (s/Y)**21, as
 the single sum's are, and the pass is memoized by (s, c, q), so a
 figure row reading the variance at the beta a solve returned reads the
-solve's last pass.
+solve's last pass where the solve evaluated that beta.
+
+The same pass (_excess_pass) also sums K2 = sum x**2 (1 + x)**(-(s+2)),
+one more product per term, for the solver's curvature of ln mean; K3 =
+sum x**3 (1 + x)**(-(s+2)) is H2 - K2, so it needs no series of its own.
+K2 rides on the cutoff the other five set, which it does not move, and
+its tails (sigma = s + 2, weight x**2) stop at B10: the curvature weighs
+only a step's square, so K2 needs few of the digits the others keep, and
+six fewer corrections save about a quarter of its cost.  The pass returns
+K2's order-10 remainder bound (Johansson's, through Leibniz as above)
+with K2 rather than hold it below 1e-16 of K2.  Over the passes of ten
+default grids (q in [0.55, 0.97]) it came to 2e-10 of K2 at the median
+and 1.2e-6 at most; with all eleven corrections the grids' solves took
+no fewer passes.  Leibniz' x <= c + x makes it loose where the weight
+sits at x << 1 (large s): at s = 9e8, c = 5e9 it reads 380 K2, where K2
+is good to 1e-16.
 
 No loop here is free of the libm variant glibc picks by CPU: a log1p
 whose last bit differs reaches a sum where the term is large enough.
@@ -94,6 +109,7 @@ _TWO_PI = 2.0 * math.pi
 _REMAINDER_COEF = 4.0 / _TWO_PI**22
 _REL_TARGET = 1e-16
 _BOUND_COEF = _REMAINDER_COEF / _REL_TARGET
+_K2_COEF = 4.0 / _TWO_PI**10  # the bound at order 10, where K2's corrections stop (B10)
 # log2(e), rounded to the nearest double.  The loops, the solver's step and
 # Model II's rates take exp(y) as exp2(y log2 e): glibc picks one of two
 # exp variants by CPU (with FMA or without), whose last bits differ for
@@ -215,10 +231,12 @@ def _excess_terms(s, q):
     (q - 2(1-q))/(1-q), whose numerator is exact for q <= 0.8 (Sterbenz)
     and free of cancellation above.  Returns -s log2(e); the single sum's
     span (s + 23)/(2 pi); the integrals' coefficients 1/(s-1),
-    1/((s-1)(s-2)), 2/((s-1)(s-2)(s-3)) (0 where E2 diverges) and their
-    s + 1 counterparts 1/s, 1/(s(s-1)), 2/(s(s-1)(s-2)); the five
-    remainder-bound coefficients, each a multiple of the single sum's; and
-    s + 1, ..., s + 21, which step the tails' R_n, so that a pass adds none.
+    1/((s-1)(s-2)), 2/((s-1)(s-2)(s-3)) (0 where E2 diverges), their
+    s + 1 counterparts 1/s, 1/(s(s-1)), 2/(s(s-1)(s-2)) and K2's
+    1/(s+1), 1/(s(s+1)), 2/((s-1)s(s+1)); the five remainder-bound
+    coefficients, each a multiple of the single sum's, and K2's order-10
+    one; and s + 1, ..., s + 21, which step the tails' R_n, so that a pass
+    adds none.
     """
     span, _, kp, _ = _single_terms(s)
     om = 1.0 - q
@@ -228,8 +246,12 @@ def _excess_terms(s, q):
     # integrates from N to (sigma)_22 (1 + 22j/(sigma+21) + 462[j=2]/((sigma+20)(sigma+21)))
     # g Y**(j-21)/((sigma + 21 - j) c**j).  With (s)_22 = s**21 P(s) (s+21) and
     # (s+1)_22 = s**20 P(s) (s+21)(s+22), that is the coefficient times (s/Y)**21 t (Y/c)**j
-    # for E_j, and (s/Y)**21 t (Y/c)**(j-1) for G1 and H2, whose g is t c/Y.
+    # for E_j, and (s/Y)**21 t (Y/c)**(j-1) for G1 and H2, whose g is t c/Y.  K2's tails
+    # stop at B10: Leibniz over f^(10) of x**2 (1 + x/c)**(-(s+2)), whose g is t (c/Y)**2,
+    # integrates to 4/(2 pi)**10 ((s+10)(s+31) + 90)/(s (s+1)) times R_9 t, with
+    # (s+2)_10 / Y**12 = R_12/(s (s+1)) and R_12 Y**3 = R_9 (s+9)(s+10)(s+11).
     s19, s20, s21 = s + 19.0, s + 20.0, s + 21.0
+    ip = 1.0 / (s + 1.0)
     # s + 1, ..., s + 21, the factors of the tails' R_2..R_22.
     shifts = (s + 1.0, s + 2.0, s + 3.0, s + 4.0, s + 5.0, s + 6.0, s + 7.0, s + 8.0, s + 9.0,
               s + 10.0, s + 11.0, s + 12.0, s + 13.0, s + 14.0, s + 15.0, s + 16.0, s + 17.0,
@@ -237,15 +259,16 @@ def _excess_terms(s, q):
     return (-s * _LOG2_E, span,
             1.0 / sm1, 1.0 / (sm1 * sm2), 2.0 / (sm1 * sm2 * sm3) if sm3 > 0.0 else 0.0,
             i, 1.0 / (s * sm1), 2.0 / (s * sm1 * sm2),
+            ip, i * ip, 2.0 * i * ip / sm1,
             kp,
             kp * (s + 43.0) / s20,
             kp * (s + 65.0 + 462.0 / s20) / s19,
             kp * (1.0 + 44.0 * i),
             kp * (s21 * (s + 66.0) + 462.0) * i / s20,
+            _K2_COEF * ((s + 10.0) * (s + 31.0) + 90.0) * i * ip,
             shifts)
 
 
-@lru_cache(maxsize=1 << 10)
 def excess_sums(s: float, c: float, q: float) -> tuple:
     """Return (E0, E1, E2, G1, H2) of the law with s = 1/(1-q) and shift c.
 
@@ -270,17 +293,37 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
     Subnormal terms carry few bits, and E1, E2, G1 and H2, which scale
     them by (k/c)**j, can be normal and still that far off.  Raises
     OverflowError where E1 or H2 leaves the double range.
+
+    The pass is memoized by (s, c, q); excess_sums.cache_info() and
+    cache_clear() are its cache's, so their misses count fresh passes.
+    """
+    return _excess_pass(s, c, q)[:5]
+
+
+@lru_cache(maxsize=1 << 10)
+def _excess_pass(s, c, q):
+    """excess_sums' pass: (E0, E1, E2, G1, H2, K2, K2's error bound).
+
+    K2 = sum x_k**2 t_k/(1 + x_k)**2, the series of sigma = s + 2 that the
+    solver's curvature reads (solver._log_curvature).  It rides on the
+    cutoff of the other five, which it does not move, so their bits are
+    those of a pass without it; its Euler-Maclaurin remainder bound at that
+    cutoff, which is not held below 1e-16 of K2, is returned as an
+    absolute error (0 where the terms underflowed first).  K3 = sum
+    x_k**3 t_k/(1 + x_k)**2 is H2 - K2, as x w**2 = x w - w**2 with
+    w = x/(1 + x).
     """
     s, c, q = float(s), float(c), float(q)
     if not (0.5 < q < 1.0 and s == 1.0 / (1.0 - q)):
         raise DomainError(f"excess sums need q in (1/2, 1) and s = 1/(1-q), got s={s}, q={q}")
     _check(s, c)
-    neg_s2, span, i1, i12, i123, j0, j01, j012, b0, b1, b2, bg, bh, shifts = _excess_terms(s, q)
+    (neg_s2, span, i1, i12, i123, j0, j01, j012, h0, h01, h012,
+     b0, b1, b2, bg, bh, bk, shifts) = _excess_terms(s, q)
     log1p, exp2 = math.log1p, math.exp2
     # Where N = 0 can pass, the tails start at the exact term t_0 = 1 and
     # E0's partial sum starts at -1 to take that term out again.
     k, e0 = (0, -1.0) if c >= span else (1, 0.0)
-    e1 = g1 = h2 = 0.0
+    e1 = g1 = h2 = k2 = 0.0
     # A divergent E2 is inf, and so is its tail: its test is skipped.
     has_e2 = i123 > 0.0
     e2 = ie2 = 0.0 if has_e2 else math.inf
@@ -288,7 +331,7 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
         x = k / c
         t = exp2(neg_s2 * log1p(x))
         if t == 0.0:  # every tail is below the smallest double
-            return e0, e1, e2, g1, h2
+            return e0, e1, e2, g1, h2, k2, 0.0
         y = c + k
         yc = 1.0 + x  # y/c
         w = x / yc  # k/(c + k), so that x u = t w: u = t/yc can underflow where x u does not
@@ -312,6 +355,7 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
         xu = t * w
         g1 += xu
         h2 += x * xu
+        k2 += w * xu
         k += 1
     # The tails from N: x = N/c, yc = Y/c for Y = c + N, w = N/Y, gy = t Y.  The
     # s + 1 series' boundary term u = t/yc enters through t and gy (u Y = t c,
@@ -360,6 +404,10 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
            + d8 * q15 + d9 * q17 + d10 * q19 + d11 * q21)
     v2 = (a2 * q2 + a3 * q4 + a4 * q6 + a5 * q8 + a6 * q10 + a7 * q12 + a8 * q14
           + a9 * q16 + a10 * q18 + a11 * q20)
+    # K2's to B10, for sigma = s + 2 over Y**2/(s (s+1)): (s+2)_n / Y**n = Y**2 R_(n+2) / (s (s+1)).
+    z0 = c1 * q3 + c2 * q5 + c3 * q7 + c4 * q9 + c5 * q11
+    z1 = -(d1 * q2 + d2 * q4 + d3 * q6 + d4 * q8 + d5 * q10)
+    z2 = a2 * q3 + a3 * q5 + a4 * q7 + a5 * q9
     ic = 1.0 / c
     gx, tw, ts = t * x, t * w, t / s
     gnw = gy * w / s  # u Y N / (s c), the s + 1 series' correction scale times N/c
@@ -369,9 +417,16 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
     e2 += ie2 + gx * (x * half_w0 + 2.0 * w1 * ic) + t * w2 * ic * ic
     g1 += ig1 + 0.5 * tw + gnw * v0 + ts * v1
     h2 += ih2 + 0.5 * tw * x + gnw * (x * v0 + 2.0 * v1 * ic) + ts * v2 * ic
+    # K2's boundary term t (c/Y)**2 enters as t over Y**2/(s (s+1)), and its
+    # integral from N is t Y (w**2/(s+1) + 2 w/(s (s+1)) + 2/((s-1) s (s+1))).
+    k2 += (gy * (w * (w * h0 + 2.0 * h01) + h012) + 0.5 * tw * w
+           + t * h01 * (k * (k * z0 + 2.0 * z1) + z2))
     if not (math.isfinite(e1) and math.isfinite(h2)):
         raise OverflowError(f"excess sums overflow for s={s}, a={c}")
-    return e0, e1, e2, g1, h2
+    return e0, e1, e2, g1, h2, k2, bk * q9 * t
+
+
+excess_sums.cache_info, excess_sums.cache_clear = _excess_pass.cache_info, _excess_pass.cache_clear
 
 
 def scaled_hurwitz_zeta(s: float, a: float) -> float:

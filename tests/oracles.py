@@ -171,7 +171,9 @@ def _mp_scaled_sum(s, a):
 
 
 def mp_excess_sum(s, c, j):
-    """sum_{k>=1} k**j (c/(c+k))**s at mpmath's working precision.
+    """sum_{k>=1} k**j (c/(c+k))**s at mpmath's working precision, for any
+    real exponent s > j + 1: the law's series take s, s + 1 (G1, H2) and
+    s + 2 (the solver's K2 and K3).
 
     Expanded as sum_i C(j,i) (-c)**(j-i) (c/(c+1))**s (c+1)**i S(s-i, c+1).
     Its terms are at most sum_k (c+k)**j (c/(c+k))**s, which exceeds the

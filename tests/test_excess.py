@@ -1,5 +1,6 @@
-"""The excess pass ``zeta.excess_sums``: its five series against mpmath,
-its identities with the single sum, its edges, and its bits.
+"""The excess pass ``zeta.excess_sums``: its five series, and the K2 that
+the solver's curvature reads, against mpmath, its identities with the
+single sum, its edges, and its bits.
 
 ``tests/golden/excess-grid.txt`` pins the pass by ``repr`` over a grid of
 (q, c), so a change of one floating-point operation, or of the libm
@@ -10,6 +11,7 @@ after an intended change of the arithmetic, run from the repo root:
 """
 
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import pytest
 
 from tsqueue.errors import DomainError
 from tsqueue.fitting import generate_correspondence
-from tsqueue.zeta import excess_sums, scaled_hurwitz_zeta
+from tsqueue.zeta import _excess_pass, excess_sums, scaled_hurwitz_zeta
 
 import oracles
 
@@ -56,6 +58,29 @@ def test_against_mpmath(q, c):
             assert abs(value - ref) <= 1e-12 * ref + 2.3e-308, (q, c, shift, j)
 
 
+def test_curvature_series_against_mpmath():
+    # K2 = sum x**2 t/(1 + x)**2 (sigma = s + 2, j = 2) and K3 = H2 - K2
+    # (sigma = s + 2, j = 3) over a seeded box of exact s, with cutoffs at
+    # N = 0 and N >= 1: K2 within its returned remainder bound plus 1e-12
+    # relative, and K3, whose difference cancels to about s ulps where the
+    # weight sits at small x, within that bound plus 1e-14 s relative.
+    rng = random.Random(32)
+    cutoffs = set()
+    for _ in range(40):
+        q = 1.0 - 2.0 ** -rng.randint(2, 26)
+        s = 1.0 / (1.0 - q)
+        c = s * 2.0 ** rng.uniform(-10.0, 8.0)
+        *_, h2, k2, bound = _excess_pass(s, c, q)
+        cutoffs.add(2.0 * math.pi * c >= s + 23.0)
+        with mpmath.workdps(45 + 3 * math.ceil(math.log10(s))):
+            sigma, mc = mpmath.mpf(s) + 2, mpmath.mpf(c)
+            ref2 = oracles.mp_excess_sum(sigma, mc, 2) / mc**2
+            ref3 = oracles.mp_excess_sum(sigma, mc, 3) / mc**3
+            assert abs(k2 - ref2) <= bound + 1e-12 * ref2 + 2.3e-308, (q, c)
+            assert abs(h2 - k2 - ref3) <= bound + 1e-14 * s * ref3 + 2.3e-308, (q, c)
+    assert cutoffs == {False, True}
+
+
 # Not q = 0.5000001: S(s-1, c) takes s - 2 = fl(s) - 2 there, 1.1e-9 off.
 @pytest.mark.parametrize("q", [q for q in GRID_Q if q != 0.5000001])
 @pytest.mark.parametrize("c", GRID_C)
@@ -82,7 +107,7 @@ def test_figure_grids_take_few_direct_terms(monkeypatch):
     # One log1p per direct term.  Over the six default figure grids a fresh
     # pass took 12.29 with corrections to B14, and takes 5.44 with B22.
     calls = [0]
-    pass_code = excess_sums.__wrapped__.__code__
+    pass_code = _excess_pass.__wrapped__.__code__
     real = math.log1p
 
     def counting(x):
@@ -117,7 +142,7 @@ def test_tails_from_the_exact_first_term(monkeypatch):
     for name in ("log1p", "exp2"):
         real = getattr(math, name)
         monkeypatch.setattr(math, name, lambda x, real=real: seen.append(x) or real(x))
-    e0 = excess_sums.__wrapped__(*_args(0.75, 1e7))[0]
+    e0 = _excess_pass.__wrapped__(*_args(0.75, 1e7))[0]
     assert seen == [0.0, -0.0]
     assert e0 == pytest.approx(1e7 / 3.0 - 0.5)
 

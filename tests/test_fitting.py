@@ -67,49 +67,91 @@ class TestGenerateCorrespondence:
     @pytest.mark.parametrize("q", [0.6, 0.7, 0.8, 0.9, 0.95])
     def test_grid_solves_from_hermite_starts(self, q):
         # Started cold from ln(1 + 1/A), the 50 solves took 225-280 passes;
-        # each from the previous beta, 176-184; from Hermite starts, 114-124.
+        # each from the previous beta, 176-184; from Hermite starts with
+        # Newton steps and a confirming pass, 114-124; with a certified
+        # Halley step from the start's pass, 53-55.
         zeta.excess_sums.cache_clear()
         records = generate_correspondence(q)
-        assert zeta.excess_sums.cache_info().misses <= 130
+        assert zeta.excess_sums.cache_info().misses <= 60
         if q == 0.6:
             for r in records:
                 assert abs(oracles.law_moments(q, r.beta)[0] - r.mean) <= 1e-10 * r.mean
 
     def test_every_grid_solve_ends_on_a_cached_pass(self, monkeypatch):
-        # The solver returns a beta it evaluated, so the pass that figures
-        # 3 and 5 read there costs nothing.
-        misses = []
+        # A solve that ends on an evaluated beta returns the beta of its last
+        # pass, so the pass that figures 3 and 5 read there costs nothing.
+        # One that ends on a certified Halley step (residual nan) has read no
+        # pass at its beta: those figures pay one there.
+        misses = {True: [], False: []}
 
         def solve_and_count(q, A, *knobs):
             found = solver._solve(q, A, *knobs)
             before = zeta.excess_sums.cache_info().misses
             zeta.excess_sums(1.0 / (1.0 - q), _zeta_shift(q, found[0]), q)
-            misses.append(zeta.excess_sums.cache_info().misses - before)
+            misses[math.isnan(found[2])].append(zeta.excess_sums.cache_info().misses - before)
             return found
 
         monkeypatch.setattr(fitting, "_solve", solve_and_count)
         for q in FIGURE_Q:
             zeta.excess_sums.cache_clear()
             generate_correspondence(q)
-        assert misses == [0] * (50 * len(FIGURE_Q))
+        certified, evaluated = misses[True], misses[False]
+        assert len(certified) + len(evaluated) == 50 * len(FIGURE_Q)
+        assert evaluated == [0] * len(evaluated)
+        assert certified == [1] * len(certified)
+        assert len(certified) >= 280  # 289 of the 300
 
     def test_grid_slopes_are_those_of_the_returned_pass(self, monkeypatch):
-        # The slope each Hermite start reads is the loop's own, the one
-        # _log_slope gives from the pass at the returned beta.
-        slopes = []
+        # The slope each Hermite start reads is the loop's own: _log_slope of
+        # the pass at the returned beta where the solve ended on one, and
+        # f' + f'' d from the step's pass where it ended on a certified step,
+        # which differs from the pass's there by O(d**2).
+        slopes = {True: [], False: []}
 
         def solve_and_keep(q, A, *knobs):
             found = solver._solve(q, A, *knobs)
             s = 1.0 / (1.0 - q)
             e0, e1, _, g1, h2 = zeta.excess_sums(s, _zeta_shift(q, found[0]), q)
-            slopes.append((repr(found[4]), repr(solver._log_slope(s, e0, e1, g1, h2))))
+            slopes[math.isnan(found[2])].append((found[4], solver._log_slope(s, e0, e1, g1, h2)))
             return found
 
         monkeypatch.setattr(fitting, "_solve", solve_and_keep)
         for q in FIGURE_Q:
             generate_correspondence(q)
-        assert len(slopes) == 50 * len(FIGURE_Q)
-        assert all(got == read for got, read in slopes)
+        assert len(slopes[True]) + len(slopes[False]) == 50 * len(FIGURE_Q)
+        assert all(repr(got) == repr(read) for got, read in slopes[False])
+        assert all(abs(got - read) <= 1e-12 * read for got, read in slopes[True])
+
+    def test_certified_betas_are_those_of_the_evaluated_loop(self, monkeypatch):
+        # From the same start, the loop without certificates takes the same
+        # Halley step, then confirms it with a pass and may step again on
+        # that pass's rounding: both answers lie at the rounding floor, where
+        # the mean's last bits move beta by a few ulps.  Of the 289 certified
+        # betas, 243 agree to 1 ulp, 269 to 2 and all to 5.
+        ulps = []
+
+        def solve_both(q, A, beta0, certify):
+            found = solver._solve(q, A, beta0, certify)
+            if math.isnan(found[2]):
+                evaluated = solver._solve(q, A, beta0)[0]
+                ulps.append(abs(found[0] - evaluated) / math.ulp(evaluated))
+            return found
+
+        monkeypatch.setattr(fitting, "_solve", solve_both)
+        for q in FIGURE_Q:
+            generate_correspondence(q)
+        assert len(ulps) >= 280
+        assert max(ulps) <= 8
+        assert sum(u <= 2 for u in ulps) >= 0.9 * len(ulps)
+
+    @pytest.mark.parametrize("q", ["0.7", np.float64(0.7)], ids=["str", "numpy"])
+    def test_q_is_taken_as_its_float(self, q):
+        # solve_beta and QueueModel read q through float(), and so does the
+        # grid's check; the Hurst parameter and the records read the raw q,
+        # so "0.7" raised TypeError and np.float64(0.7) reached every record.
+        records = generate_correspondence(q, points=3)
+        assert records == generate_correspondence(0.7, points=3)
+        assert all(type(r.q) is float for r in records)
 
     def test_no_solve_falls_back(self, monkeypatch):
         # Neither the default grids' solves nor 2,000 cold solves over the
@@ -218,7 +260,7 @@ class TestGenerateCorrespondence:
         assert str(info.value) == f"beta solve failed at mean=1e-319: {cause}"
         assert (info.value.beta, info.value.residual, info.value.iterations) == (
             cause.beta, cause.residual, cause.iterations)
-        assert cause.iterations == 47
+        assert cause.iterations == 46
 
     def test_integer_like_points_accepted(self):
         records = generate_correspondence(0.75, 0.1, 100.0, np.int64(3))

@@ -1,11 +1,12 @@
 import inspect
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsqueue import zeta
+from tsqueue import solver, zeta
 from tsqueue.distribution import QueueModel, mean
 from tsqueue.errors import DomainError, NoConvergence
 from tsqueue.solver import SolverResult, newton_step, solve_beta
@@ -138,21 +139,23 @@ class TestSolveBeta:
     def test_degenerate_first_step_goes_to_the_bracket(self):
         # Every term underflows from beta0 down to beta = 1573, so each step
         # there is taken on the first term; at beta = 727 the slope reads
-        # negative in subnormal sums, and the solve takes hi/2 once.
+        # negative in subnormal sums, and the solve takes hi/2 once.  (With
+        # Newton steps alone: 17 iterations, to 358.32201848005184.)
         assert solve_beta(0.9999999809743807, 2.416879911419902e-156,
                           beta0=4.8226660066928306e101) == SolverResult(
-            beta=358.32201848005184, iterations=17, residual=2.3236933129811655e-169,
+            beta=358.32201848005195, iterations=16, residual=1.4853006254467583e-169,
             fallback_used=True)
 
     # From each start every term underflows, or (the last) the first step
     # passes 700 in ln beta.  Bisecting instead, the solve halves or doubles
     # the bracket's closed end once per iteration: 15 and 68 iterations for
-    # the first two starts, more than 100 for the other three.
+    # the first two starts, more than 100 for the other three.  Newton steps
+    # alone, without Halley's near the root, took 12, 7, 3, 9 and 3.
     @pytest.mark.parametrize("q,A,beta0,iterations", [
-        (0.999, 2.0, 1e4, 12),
-        (0.75, 2.0, 1e100, 7),
+        (0.999, 2.0, 1e4, 9),
+        (0.75, 2.0, 1e100, 5),
         (0.6, 1e-300, 1e300, 3),
-        (0.99, 50.0, 1e200, 9),
+        (0.99, 50.0, 1e200, 8),
         (0.5970733123689003, 8.605769467536962e-142, 7.137516591517388e-243, 3),  # clamped
     ])
     def test_newton_from_an_open_bracket_end(self, q, A, beta0, iterations):
@@ -172,7 +175,7 @@ class TestSolveBeta:
             solve_beta(0.75, 3.0, tol=1e-20)
         assert str(info.value) == message
         assert (info.value.beta, info.value.residual, info.value.iterations) == (
-            0.5410770600109491, 4.440892098500626e-16, 6)
+            0.5410770600109491, 4.440892098500626e-16, 5)  # 6 with Newton's steps alone
 
     def test_pass_overflow_narrows_the_bracket(self):
         # Near q = 1/2 a Newton step overshoots to a beta where E1 leaves the
@@ -213,6 +216,57 @@ class TestSolveBeta:
         for q, A in [(0.75, -1.0), (0.75, 0.0), (1.1, 1.0), (0.4, 1.0)]:
             with pytest.raises(DomainError):
                 solve_beta(q, A)
+
+
+class TestCurvature:
+    """f' = d ln mean / d ln c (_log_slope) and its derivatives, which the
+    Halley step and its certificate read."""
+
+    @staticmethod
+    def slope_and_curvature(q, u):
+        s = 1.0 / (1.0 - q)
+        e0, e1, _, g1, h2, k2, _ = zeta._excess_pass.__wrapped__(s, math.exp(u), q)
+        return (solver._log_slope(s, e0, e1, g1, h2),
+                solver._log_curvature(s, 1.0 + e0, e1, g1, h2, k2))
+
+    def test_bounds_against_central_differences(self):
+        # At seeded (q, c), q in (1/2, 0.999] and c/s in [1e-3, 1e4]: the
+        # curvature formula matches the central difference of _log_slope,
+        # and the differences stay inside the stated bounds |f''| <=
+        # s (1 + s)/4 and |f'''| <= s (sqrt(3)/9 + 3 s/8 + 8 s**2/27).  Over
+        # these draws they reach 24% and 5% of them.
+        rng = random.Random(32)
+        for _ in range(300):
+            q = 0.5 + 0.499 * (1.0 - rng.random())
+            s = 1.0 / (1.0 - q)
+            u = math.log(s) + rng.uniform(math.log(1e-3), math.log(1e4))
+            h = 1e-3 / s
+            (f1, f2), (up, _), (down, _) = (self.slope_and_curvature(q, v) for v in (u, u + h, u - h))
+            second, third = (up - down) / (2.0 * h), (up - 2.0 * f1 + down) / (h * h)
+            curve_bound, third_bound = solver._derivative_bounds(s)
+            assert abs(f2 - second) <= 1e-6 * curve_bound, (q, u)
+            assert abs(second) <= curve_bound, (q, u)
+            assert abs(third) <= third_bound, (q, u)
+
+    def test_halley_takes_fewer_passes_than_newton(self, monkeypatch):
+        # Cold solves over the queries domain of the benchmark (1 - q
+        # log-uniform in [1e-6, 0.45], A in [1e-2, 1e4]).
+        rng = random.Random(20261020)
+        cases = [(1.0 - math.exp(rng.uniform(math.log(1e-6), math.log(0.45))),
+                  math.exp(rng.uniform(math.log(1e-2), math.log(1e4)))) for _ in range(500)]
+
+        def passes():
+            count = 0
+            for q, A in cases:
+                zeta.excess_sums.cache_clear()
+                solve_beta(q, A)
+                count += zeta.excess_sums.cache_info().misses
+            return count
+
+        halley = passes()
+        monkeypatch.setattr(solver, "_log_curvature", lambda *sums: math.nan)  # Newton's steps
+        newton = passes()
+        assert halley < 0.85 * newton, (halley, newton)
 
 
 class TestSolverConfig:
