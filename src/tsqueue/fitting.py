@@ -205,15 +205,17 @@ def _line(x, y):
     back, so that the spread of x cannot underflow; a power of two commutes
     with every rounding here, so where it did not underflow the line is
     bit for bit the unscaled one."""
-    if len(set(x)) < 2:
+    lo, hi = min(x), max(x)
+    if lo == hi:
         return None
-    e = math.frexp(max(map(abs, x)))[1]
+    e = math.frexp(max(-lo, hi))[1]
     if e:
         x = [math.ldexp(v, -e) for v in x]
     n = len(x)
     x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
     dx = [v - x_mean for v in x]
-    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / math.fsum(d * d for d in dx)
+    dy = [v - y_mean for v in y]
+    slope = math.fsum(map(operator.mul, dx, dy)) / math.fsum(map(operator.mul, dx, dx))
     return y_mean - slope * x_mean, math.ldexp(slope, -e)
 
 
@@ -221,7 +223,8 @@ def _goodness(rho, ss_res):
     """rmse and r_squared from the residual sum of squares ``ss_res``."""
     n = len(rho)
     rho_mean = math.fsum(rho) / n
-    ss_tot = math.fsum((r - rho_mean) * (r - rho_mean) for r in rho)
+    deviations = [r - rho_mean for r in rho]
+    ss_tot = math.fsum(map(operator.mul, deviations, deviations))
     rmse = math.sqrt(ss_res / n)
     if ss_tot > 0.0:
         r_squared = 1.0 - ss_res / ss_tot
@@ -253,7 +256,7 @@ def fit_model_i(beta, rho) -> FitReport:
         raise SingularFit("all regressor values exp(-beta) are identical")
     a, b = line
     residuals = [r - (a + b * x) for r, x in zip(rho, regressor)]
-    rmse, r_squared = _goodness(rho, math.fsum(e * e for e in residuals))
+    rmse, r_squared = _goodness(rho, math.fsum(map(operator.mul, residuals, residuals)))
     return FitReport("I", (a, b), rmse, r_squared, iterations=1, converged=True)
 
 
@@ -266,20 +269,20 @@ def _model_ii_starts(beta, rho):
     """Deterministic (log eta, log mu) start points; each rate comes from the
     regime where its term dominates, plus a near-constant power term so the
     optimizer can reach nearly-pure-exponential solutions."""
-    b_sorted, r_sorted = zip(*sorted(zip(beta, rho)))
-    half = max(len(b_sorted) // 2, 2)
-    low = [(b, r) for b, r in zip(b_sorted[:half], r_sorted[:half]) if r > 0.0]
-    high = [(b, r) for b, r in zip(b_sorted[-half:], r_sorted[-half:]) if r > 0.0]
+    pairs = sorted(zip(beta, rho))
+    half = max(len(pairs) // 2, 2)
+    low = [(b, math.log(r)) for b, r in pairs[:half] if r > 0.0]
+    high = [(math.log(b), math.log(r)) for b, r in pairs[-half:] if r > 0.0]
 
     # decay rate from ln rho vs beta on the low-beta half
     mu0 = 1.0
-    line = _line([b for b, _ in low], [math.log(r) for _, r in low])
+    line = _line(*zip(*low)) if low else None
     if line is not None and math.isfinite(line[1]) and line[1] < 0.0:
         mu0 = min(max(-line[1], 1e-2), 1e2)
 
     # power-law exponent from ln rho vs ln beta on the high-beta half
     eta0 = 1.0
-    line = _line([math.log(b) for b, _ in high], [math.log(r) for _, r in high])
+    line = _line(*zip(*high)) if high else None
     if line is not None and math.isfinite(line[1]):
         eta0 = min(max(-line[1], 1e-2), 1e2)
 
@@ -300,105 +303,137 @@ def _sse_rounding(sse, norm):
     return 2.0**-49 * math.sqrt(sse * norm)
 
 
-def _variable_projection(start, beta, rho):
-    """One damped Gauss-Newton run on (log eta, log mu) from ``start``, then
-    undamped steps to the rounding floor, with (c, d) projected out (Golub &
-    Pereyra 1973, Kaufman's Jacobian 1975); returns (converged, sse, (c, eta, d, mu), iters).  The package's only
-    numpy code: numpy forms the per-point vectors and their sums, and the
-    2x2 solves and stopping tests run in Python floats.  Every scale in the
-    loop is relative to rho's, so a fit of k * rho stops where one of rho
-    does."""
+def _variable_projection(starts, beta, rho):
+    """One run from each of ``starts``, in order: damped Gauss-Newton on
+    (log eta, log mu), then undamped steps to the rounding floor, with
+    (c, d) projected out (Golub & Pereyra 1973, Kaufman's Jacobian 1975).
+    Returns a list of (converged, sse, (c, eta, d, mu), iters), one per
+    start.  The package's only numpy code: numpy forms the per-point
+    vectors and their sums, and the 2x2 solves and stopping tests run in
+    Python floats.  Every scale in the loop is relative to rho's, so a fit
+    of k * rho stops where one of rho does.
+
+    What the runs share is built once per call: rho, the rows
+    [ln beta; beta], rho . rho / n, two tables of six rows (rho,
+    p = beta**-eta, e = exp(-mu beta), the residuals, and the model's
+    derivatives in log eta and log mu) with their row views, the rates,
+    the slopes and one scratch row.  A run writes rows 1-5 of a table
+    before it reads them, so nothing carries from one run to the next, and
+    a step only writes into these buffers.  Each numpy call is one
+    operation of the plain expressions exp([-eta; -mu] * [ln beta; beta]),
+    rho - (c p + d e) and ([-c eta; -d mu] * [ln beta; beta]) * [p; e], on
+    the same operands in the same order, and ``ndarray.dot`` reaches the
+    same BLAS routine as ``@``: so the bits are those of the expressions
+    evaluated with temporaries."""
     import numpy as np
 
+    multiply, add, subtract, exp = np.multiply, np.add, np.subtract, np.exp
     with np.errstate(all="ignore"):  # overflow and nan reject a step, quietly
         rho = np.array(rho, dtype=float)
+        n = len(rho)
         log_beta_beta = np.array([np.log(beta), beta])
         # J^T J and the gradient scale as rho**2, and so do the damping floor
         # and the gradient bound; capped so that they stay finite
-        rho_squared = min(float(rho @ rho) / len(rho), sys.float_info.max)
+        rho_squared = min(float(rho @ rho) / n, sys.float_info.max)
         floor, tolerance = 1e-12 * rho_squared, _GRADIENT_TOL * rho_squared
-        # Rows: rho, p = beta**-eta, e = exp(-mu beta), the residuals, and the
-        # model's derivatives in log eta and log mu.  One table holds the
-        # current point, the other a trial.
-        table, trial_table = np.empty((2, 6, len(rho)))
-        table[0] = trial_table[0] = rho
+        norm = rho_squared * n
+        rates, slopes, scratch = np.empty((2, 1)), np.empty((2, 1)), np.empty(n)
+        # One table holds the current point, the other a trial; a run swaps
+        # them, views and all.  Views: [p; e], [rho; p; e] transposed, p, e,
+        # the residuals, the derivatives, and rows 1-5 transposed.
+        tables = np.empty((2, 6, n))
+        tables[:, 0] = rho
+        views = [(t[1:3], t[:3].T, t[1], t[2], t[3], t[4:], t[1:].T) for t in tables]
 
-        def evaluate(theta, rows):
+        def evaluate(theta, table):
             """SSE, (c, eta, d, mu) and (p.p, p.e, e.e, det) at ``theta``,
             with (c, d) from the normal equations of (p, e)."""
+            rows, basis, p, e, residuals, _, _ = table
             eta, mu = _exp(theta[0]), _exp(theta[1])
-            np.exp(np.array([[-eta], [-mu]]) * log_beta_beta, out=rows[1:3])
-            (pr, pp, pe), (er, _, ee) = (rows[1:3] @ rows[:3].T).tolist()
+            rates[0, 0], rates[1, 0] = -eta, -mu
+            multiply(rates, log_beta_beta, out=rows)
+            exp(rows, out=rows)
+            (pr, pp, pe), (er, _, ee) = rows.dot(basis).tolist()
             det = pp * ee - pe * pe
             try:
                 c, d = (ee * pr - pe * er) / det, (pp * er - pe * pr) / det
             except ZeroDivisionError:  # p and e are parallel, or both vanish
                 c = d = math.nan
-            np.subtract(rho, c * rows[1] + d * rows[2], out=rows[3])
-            return float(rows[3] @ rows[3]), (c, eta, d, mu), (pp, pe, ee, det)
+            multiply(p, c, out=residuals)
+            multiply(e, d, out=scratch)
+            add(residuals, scratch, out=residuals)
+            subtract(rho, residuals, out=residuals)
+            return float(residuals.dot(residuals)), (c, eta, d, mu), (pp, pe, ee, det)
 
-        theta = (_clamp(start[0]), _clamp(start[1]))
-        lam, moved, polish, step_small = 1e-3, True, False, False
-        sse, params, (pp, pe, ee, det) = evaluate(theta, table)
-        if not math.isfinite(sse):
-            return False, math.inf, params, 1
-        # Damped steps are taken only if they do not raise the SSE, so theta
-        # is the best point, until the gradient test passes or a step no
-        # longer moves theta.  The SSE's rounding cannot place theta closer
-        # than about 1e-8 to the minimizer (up to 6e-8 on the default grids),
-        # so a polish follows: undamped Gauss-Newton steps, which read the
-        # gradient, taken while each is under half the one before and the SSE
-        # stays within its rounding, up to and including the first of at
-        # most _POLISH_STEP.  Each stopping test reads
-        # "every |x_i| <= bound", so a nan never passes.
-        for iteration in range(1, _MAX_GN_ITER + 1):
-            if moved:  # Kaufman: the derivatives less their projections on (p, e)
-                c, eta, d, mu = params
-                slopes = np.array([[-c * eta], [-d * mu]]) * log_beta_beta
-                np.multiply(slopes, table[1:3], out=table[4:])
-                # each derivative's products with p, e, the residuals and both
-                sums = (table[4:] @ table[1:].T).tolist()
-                (p1, e1, g1, h11, h12), (p2, e2, g2, _, h22) = sums
-                j11 = h11 - (ee * p1 * p1 - 2.0 * pe * p1 * e1 + pp * e1 * e1) / det
-                j12 = h12 - (ee * p1 * p2 - pe * (p1 * e2 + e1 * p2) + pp * e1 * e2) / det
-                j22 = h22 - (ee * p2 * p2 - 2.0 * pe * p2 * e2 + pp * e2 * e2) / det
-            if not polish and (step_small or abs(g1) <= tolerance and abs(g2) <= tolerance):
-                polish, lam, last = True, 0.0, math.inf
-            m11, m22 = j11 + lam * max(j11, floor), j22 + lam * max(j22, floor)
-            # by elimination: a determinant would multiply four powers of rho
-            try:
-                ratio = j12 / m11
-                step2 = (g2 - ratio * g1) / (m22 - ratio * j12)
-                step1 = (g1 - j12 * step2) / m11
-            except ZeroDivisionError:  # no step: rejected like a bad one
-                trial_sse = math.inf
-            else:
-                if polish:
-                    size = max(abs(step1), abs(step2))
-                    if not size < 0.5 * last:
+        def run(start):
+            table, trial_table = views
+            theta = (_clamp(start[0]), _clamp(start[1]))
+            lam, moved, polish, step_small = 1e-3, True, False, False
+            sse, params, (pp, pe, ee, det) = evaluate(theta, table)
+            if not math.isfinite(sse):
+                return False, math.inf, params, 1
+            # Damped steps are taken only if they do not raise the SSE, so
+            # theta is the best point, until the gradient test passes or a
+            # step no longer moves theta.  The SSE's rounding cannot place
+            # theta closer than about 1e-8 to the minimizer (up to 6e-8 on
+            # the default grids), so a polish follows: undamped Gauss-Newton
+            # steps, which read the gradient, taken while each is under half
+            # the one before and the SSE stays within its rounding, up to and
+            # including the first of at most _POLISH_STEP.  Each stopping
+            # test reads "every |x_i| <= bound", so a nan never passes.
+            for iteration in range(1, _MAX_GN_ITER + 1):
+                if moved:  # Kaufman: the derivatives less their projections on (p, e)
+                    c, eta, d, mu = params
+                    rows, _, _, _, _, derivatives, products = table
+                    slopes[0, 0], slopes[1, 0] = -c * eta, -d * mu
+                    multiply(slopes, log_beta_beta, out=derivatives)
+                    multiply(derivatives, rows, out=derivatives)
+                    # each derivative's products with p, e, the residuals and both
+                    sums = derivatives.dot(products).tolist()
+                    (p1, e1, g1, h11, h12), (p2, e2, g2, _, h22) = sums
+                    j11 = h11 - (ee * p1 * p1 - 2.0 * pe * p1 * e1 + pp * e1 * e1) / det
+                    j12 = h12 - (ee * p1 * p2 - pe * (p1 * e2 + e1 * p2) + pp * e1 * e2) / det
+                    j22 = h22 - (ee * p2 * p2 - 2.0 * pe * p2 * e2 + pp * e2 * e2) / det
+                if not polish and (step_small or abs(g1) <= tolerance and abs(g2) <= tolerance):
+                    polish, lam, last = True, 0.0, math.inf
+                m11, m22 = j11 + lam * max(j11, floor), j22 + lam * max(j22, floor)
+                # by elimination: a determinant would multiply four powers of rho
+                try:
+                    ratio = j12 / m11
+                    step2 = (g2 - ratio * g1) / (m22 - ratio * j12)
+                    step1 = (g1 - j12 * step2) / m11
+                except ZeroDivisionError:  # no step: rejected like a bad one
+                    trial_sse = math.inf
+                else:
+                    if polish:
+                        size = max(abs(step1), abs(step2))
+                        if not size < 0.5 * last:
+                            return True, sse, params, iteration
+                        last = size
+                    trial = (_clamp(theta[0] + step1), _clamp(theta[1] + step2))
+                    trial_sse, trial_params, trial_gram = evaluate(trial, trial_table)
+                slack = _sse_rounding(sse, norm) if polish else 0.0
+                moved = math.isfinite(trial_sse) and trial_sse <= sse + slack
+                if moved:
+                    bound = 1e-15 * (1.0 + max(abs(theta[0]), abs(theta[1])))
+                    step_small = (abs(trial[0] - theta[0]) <= bound
+                                  and abs(trial[1] - theta[1]) <= bound)
+                    theta, sse, params = trial, trial_sse, trial_params
+                    pp, pe, ee, det = trial_gram
+                    table, trial_table = trial_table, table
+                    if not polish:
+                        lam = max(lam * 0.1, 1e-14)
+                    elif last <= _POLISH_STEP:
                         return True, sse, params, iteration
-                    last = size
-                trial = (_clamp(theta[0] + step1), _clamp(theta[1] + step2))
-                trial_sse, trial_params, trial_gram = evaluate(trial, trial_table)
-            slack = _sse_rounding(sse, rho_squared * len(rho)) if polish else 0.0
-            moved = math.isfinite(trial_sse) and trial_sse <= sse + slack
-            if moved:
-                bound = 1e-15 * (1.0 + max(map(abs, theta)))
-                step_small = all(abs(s - t) <= bound for s, t in zip(trial, theta))
-                theta, sse, params = trial, trial_sse, trial_params
-                pp, pe, ee, det = trial_gram
-                table, trial_table = trial_table, table
-                if not polish:
-                    lam = max(lam * 0.1, 1e-14)
-                elif last <= _POLISH_STEP:
+                elif polish:
                     return True, sse, params, iteration
-            elif polish:
-                return True, sse, params, iteration
-            else:
-                lam *= 10.0
-                if lam > 1e14:
-                    return False, sse, params, iteration
-        return polish, sse, params, _MAX_GN_ITER
+                else:
+                    lam *= 10.0
+                    if lam > 1e14:
+                        return False, sse, params, iteration
+            return polish, sse, params, _MAX_GN_ITER
+
+        return [run(start) for start in starts]
 
 
 def fit_model_ii(beta, rho) -> FitReport:
@@ -420,23 +455,32 @@ def fit_model_ii(beta, rho) -> FitReport:
 
     e = math.frexp(max(map(abs, rho)))[1]
     scaled = [math.ldexp(r, -e) for r in rho]
-    runs = [_variable_projection(s, beta, scaled) for s in _model_ii_starts(beta, rho)]
+    runs = _variable_projection(_model_ii_starts(beta, rho), beta, scaled)
     # The first run whose SSE is the least to within its rounding, so that
     # runs to one minimizer do not win by their SSEs' last bits
     runs = [run for run in runs if run[0]] or runs
     least = min(run[1] for run in runs)
-    slack = _sse_rounding(least, math.fsum(r * r for r in scaled))
+    slack = _sse_rounding(least, math.fsum(map(operator.mul, scaled, scaled)))
     converged, sse, (c, eta, d, mu), iterations = next(
         run for run in runs if run[1] <= least + slack
     )
     rmse, r_squared = _goodness(scaled, sse)
-    rmse, params = math.ldexp(rmse, e), (math.ldexp(c, e), eta, math.ldexp(d, e), mu)
+    rmse = math.ldexp(rmse, e)
+    params = (_scaled_back("c", c, e), eta, _scaled_back("d", d, e), mu)
     report = FitReport("II", params, rmse, r_squared, iterations, converged)
     if not converged:
         raise NoConvergence(
             f"Model II fit did not converge (best rmse={rmse})", report=report
         )
     return report
+
+
+def _scaled_back(name, amplitude, e):
+    """A Model II amplitude times 2**e, or an OverflowError that names it."""
+    try:
+        return math.ldexp(amplitude, e)
+    except OverflowError:
+        raise OverflowError(f"Model II amplitude {name} exceeds the double range") from None
 
 
 def evaluate_fit(report: FitReport, beta: float) -> float:
@@ -453,5 +497,17 @@ def evaluate_fit(report: FitReport, beta: float) -> float:
         if beta <= 0.0:
             raise DomainError(f"Model II prediction requires beta > 0, got {beta}")
         c, eta, d, mu = report.params
-        return c * beta ** (-eta) + d * math.exp(-mu * beta)
+        try:
+            power = beta ** (-eta)
+        except OverflowError:
+            raise OverflowError(
+                f"Model II term beta**(-eta) exceeds the double range at beta={beta}"
+            ) from None
+        try:
+            decay = math.exp(-mu * beta)
+        except OverflowError:
+            raise OverflowError(
+                f"Model II term exp(-mu*beta) exceeds the double range at beta={beta}"
+            ) from None
+        return c * power + d * decay
     raise DomainError(f"unknown model kind {report.model_kind!r}")

@@ -272,6 +272,14 @@ class TestGenerateAndFit:
         assert out == ""
         assert err.startswith("error: ") and "beta=-800.0" in err
 
+    def test_model_ii_amplitude_overflow_is_named(self, capsys, tmp_path):
+        data = tmp_path / "huge.csv"
+        rows = [f"1,{b},{r},0.7" for b, r in zip((0.1, 0.2, 0.3, 0.4, 0.5),
+                                                 (1.7e308, 1.6e308, 1.5e308, 1.4e308, 1.3e308))]
+        data.write_text("\n".join(["mean,beta,rho,q", *rows]) + "\n")
+        code, out, err = run(capsys, "fit", "--model", "II", "--in", str(data))
+        assert (code, out, err) == (2, "", "error: Model II amplitude c exceeds the double range\n")
+
     @pytest.mark.parametrize("text,message", [
         ("mean,rho,beta,q\n1,0.4,0.5,0.6\n",
          "line 1: expected header mean,beta,rho,q, got mean,rho,beta,q"),

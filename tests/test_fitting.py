@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -420,7 +421,7 @@ class TestModelII:
         rho = 0.1 * beta**-0.3 + 0.6 * np.exp(-1.5 * beta)
         start = fitting._model_ii_starts(list(beta), list(rho))[0]
         monkeypatch.setattr(fitting, "_MAX_GN_ITER", 1)
-        run = fitting._variable_projection(start, beta, rho)
+        [run] = fitting._variable_projection([start], beta, rho)
         converged, sse, params, iterations = run
         assert (converged, iterations) == (False, 1)
         rmse = model_ii_rmse(params, beta, rho)
@@ -443,10 +444,40 @@ class TestModelII:
         # beta**-eta = 0.5**-2000 overflows: the start's SSE is nan.
         start = (math.log(2000.0), 0.0)
         beta, rho = [0.5, 1.0, 2.0, 4.0, 8.0], [0.5, 0.4, 0.3, 0.2, 0.1]
-        run = fitting._variable_projection(start, beta, rho)
+        [run] = fitting._variable_projection([start], beta, rho)
         converged, sse, (_, eta, _, mu), iterations = run
         assert (converged, sse, iterations) == (False, math.inf, 1)
         assert (eta, mu) == (_exp(start[0]), 1.0)
+
+    def test_runs_share_no_state(self):
+        # The runs of one fit share their buffers: a run from each start, in
+        # every order, is the run made alone.
+        rows = GENERATE_CSV.read_text().splitlines()[1:]  # mean,beta,rho,q
+        beta, rho = zip(*(map(float, row.split(",")[1:3]) for row in rows))
+        starts = fitting._model_ii_starts(beta, rho)
+        alone = {start: repr(fitting._variable_projection([start], beta, rho))
+                 for start in starts}
+        for order in itertools.permutations(starts):
+            runs = fitting._variable_projection(order, beta, rho)
+            assert [repr([run]) for run in runs] == [alone[start] for start in order]
+
+    def test_a_rejected_start_leaves_the_next_run_alone(self):
+        # The data of test_non_finite_start_is_rejected_at_once: its start
+        # returns at once, with the tables part written.
+        beta, rho = [0.5, 1.0, 2.0, 4.0, 8.0], [0.5, 0.4, 0.3, 0.2, 0.1]
+        start = fitting._model_ii_starts(beta, rho)[0]
+        rejected, after = fitting._variable_projection([(math.log(2000.0), 0.0), start],
+                                                       beta, rho)
+        assert rejected[1] == math.inf
+        assert repr(after) == repr(fitting._variable_projection([start], beta, rho)[0])
+
+    def test_fits_in_turn_do_not_meet(self):
+        # Data A, then B of another length, then A again: the first report.
+        a = columns(generate_correspondence(0.7))
+        b = columns(generate_correspondence(0.9, points=31))
+        first = repr(fit_model_ii(*a))
+        fit_model_ii(*b)
+        assert repr(fit_model_ii(*a)) == first
 
     def test_overflowing_jacobian_warns_nothing(self):
         # At rho ~ 1e160 the start's SSE is finite, but the Jacobian's sums
@@ -455,7 +486,7 @@ class TestModelII:
         start = (math.log(0.4), 0.0)
         beta = [1.5 + 0.1 * i for i in range(20)]
         rho = [1e160 * 0.3 * b**-0.4 for b in beta]
-        run = fitting._variable_projection(start, beta, rho)
+        [run] = fitting._variable_projection([start], beta, rho)
         converged, sse, (_, eta, _, mu), _ = run
         assert converged is False
         assert (eta, mu) == (_exp(start[0]), 1.0)
@@ -483,6 +514,14 @@ class TestModelII:
             expected = (k * c, eta, k * d, mu)
             assert report.params == pytest.approx(expected, rel=1e-8)
 
+    def test_amplitude_beyond_the_double_range_is_named(self):
+        # The loop fits rho / 2**1024; c scaled back overflows.
+        beta = [0.1, 0.2, 0.3, 0.4, 0.5]
+        rho = [1.7e308, 1.6e308, 1.5e308, 1.4e308, 1.3e308]
+        message = "Model II amplitude c exceeds the double range"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            fit_model_ii(beta, rho)
+
     def test_rejects_nonpositive_beta(self):
         beta = np.linspace(0.0, 4.0, 9)
         rho = np.exp(-beta)
@@ -506,6 +545,16 @@ class TestEvaluateFit:
         message = "Model I regressor exp(-beta) exceeds the double range at beta=-800.0"
         with pytest.raises(OverflowError, match=re.escape(message)):
             evaluate_fit(report, -800)
+
+    @pytest.mark.parametrize("params,beta,term", [
+        ((0.1, 2.0, 0.5, 1.0), 1e-300, "beta**(-eta)"),
+        ((0.1, 2.0, 0.5, -1.0), 800.0, "exp(-mu*beta)"),
+    ])
+    def test_model_ii_overflow_names_the_beta(self, params, beta, term):
+        report = FitReport("II", params, 0.1, 0.9, 1, converged=True)
+        message = f"Model II term {term} exceeds the double range at beta={beta!r}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            evaluate_fit(report, beta)
 
     def test_model_ii_direct_arithmetic(self):
         beta = np.geomspace(0.05, 10.0, 50)
