@@ -220,7 +220,10 @@ def _line(x, y):
 
 
 def _goodness(rho, ss_res):
-    """rmse and r_squared from the residual sum of squares ``ss_res``."""
+    """rmse and r_squared from the residual sum of squares ``ss_res``.
+
+    Both fits pass rho and ss_res scaled by the power of two that puts
+    max|rho| in [0.5, 1), so that no deviation's square overflows."""
     n = len(rho)
     rho_mean = math.fsum(rho) / n
     deviations = [r - rho_mean for r in rho]
@@ -256,8 +259,15 @@ def fit_model_i(beta, rho) -> FitReport:
         raise SingularFit("all regressor values exp(-beta) are identical")
     a, b = line
     residuals = [r - (a + b * x) for r, x in zip(rho, regressor)]
+    # rho and the residuals scaled by a power of two, as Model II fits rho, and
+    # rmse back: a power of two commutes with every rounding in _goodness, so
+    # where no square over- or underflowed both are the unscaled values' bits.
+    e = math.frexp(max(map(abs, rho)))[1]
+    if e:
+        rho = [math.ldexp(r, -e) for r in rho]
+        residuals = [math.ldexp(r, -e) for r in residuals]
     rmse, r_squared = _goodness(rho, math.fsum(map(operator.mul, residuals, residuals)))
-    return FitReport("I", (a, b), rmse, r_squared, iterations=1, converged=True)
+    return FitReport("I", (a, b), math.ldexp(rmse, e), r_squared, iterations=1, converged=True)
 
 
 # log_eta and log_mu are kept inside +-50 so eta, mu never collapse to 0.0
@@ -492,7 +502,12 @@ def evaluate_fit(report: FitReport, beta: float) -> float:
         raise DomainError(f"beta must be finite, got {beta}")
     if report.model_kind == "I":
         a, b = report.params
-        return a + b * _model_i_regressor(beta)
+        product = b * _model_i_regressor(beta)
+        value = a + product
+        if not math.isfinite(value):
+            what = "product b*exp(-beta)" if math.isinf(product) else "prediction a + b*exp(-beta)"
+            raise OverflowError(f"Model I {what} exceeds the double range at beta={beta}")
+        return value
     if report.model_kind == "II":
         if beta <= 0.0:
             raise DomainError(f"Model II prediction requires beta > 0, got {beta}")
@@ -509,5 +524,12 @@ def evaluate_fit(report: FitReport, beta: float) -> float:
             raise OverflowError(
                 f"Model II term exp(-mu*beta) exceeds the double range at beta={beta}"
             ) from None
-        return c * power + d * decay
+        power, decay = c * power, d * decay
+        value = power + decay
+        if not math.isfinite(value):
+            what = ("product c*beta**(-eta)" if math.isinf(power)
+                    else "product d*exp(-mu*beta)" if math.isinf(decay)
+                    else "prediction c*beta**(-eta) + d*exp(-mu*beta)")
+            raise OverflowError(f"Model II {what} exceeds the double range at beta={beta}")
+        return value
     raise DomainError(f"unknown model kind {report.model_kind!r}")

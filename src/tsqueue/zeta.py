@@ -19,8 +19,54 @@ sum plus the integral tail, tested in linear space.  The corrections cost
 a few multiplications once per sum, where each direct term costs a log1p,
 an exp2 and the bound's test, so the order is high: on the default figure
 grids a pass takes 5.4 direct terms.  At N = 0 the tails start at the
-exact term t_0 = 1.  A term that underflows ends a loop, as every tail is
-then below the smallest double.
+exact term t_0 = 1.
+
+Both loops have one exit besides the cutoff: they return their partial
+sums as they stand once no later addition, of a direct term or of the
+tails at any later cutoff, can change a bit of them.  Where t_k > 2**-110
+the test is that one comparison.  Past it, each series' term at k, times
+6 in the single sum and 32 in the pass, plus its integral from k, must lie
+strictly below 2**-110 of its partial sum; in the pass only where
+x_k = k/c >= 2/(s - 2), past the peak of every weight x**j (1 + x)**(-sigma)
+of its six series (E2's is the last), and where t_k < 2**-98 E1 (for K2's
+bound, below).  In the single sum the partial sum is at least 1 and the
+integral from k is t_k (a + k)/(s - 1); the pass's integrals are the tails'
+own.  t_k = 0, where the loops used to stop, passes the test: every term
+and tail is then below the smallest double.
+
+Why the exit keeps every bit.  Where p >= 2**e, p's neighbours lie at
+least 2**(e-53) away, so adding any x with |x| < p 2**-55 rounds to p
+(round to nearest; Higham, Accuracy and Stability of Numerical Algorithms,
+2002, ch. 2).  The test's strict < never holds where 2**-110 p rounds to
+0, so p > 2**-965 wherever it fires, 2**-110 p rounds to at most 2**-109 p,
+and subnormal roundings (2**-1075 each) stay far below p 2**-55.  Past the
+peaks no later term of a series exceeds its term at k, and the integral of
+a positive function from N shrinks as N grows, so every later direct
+addition is below 2**-111 p and rounds to a no-op.  A cutoff at any later
+N then adds the integral from N, at most the one from k, and the half-term
+and corrections.  There r = s/Y < 2 pi and (s + i)/Y < 2 pi for i <= 21,
+so R_n = (s)_n / Y**n < r (2 pi)**(n-1), and |C_m| = 2 zeta(2m)/(2 pi)**2m;
+with N >= 1 in the pass, the half-term and corrections come to at most
+4.24 times the term at N in the single sum and E0, 10.5 in E1 and G1, 30
+in E2 and H2 and 6.2 in K2 (in K2's, two factors of R_n are bounded, r and
+(s + 1)/Y).  So each tail is below 2**-109 p as well, its computed value
+off by a few ulps (each computed term within 2**-40 of its exact value,
+as |ln t_k| < 746), and adding it rounds to a no-op.  Where the exit fires
+the loop would have returned the same partial sums, all finite, by its
+cutoff or by underflow: every sum and every value read from it keeps its
+bits, and no OverflowError is lost.
+
+K2's error bound (_excess_pass) is the one element that can differ.  Where
+the exit ends a pass it is 0.0, as where the terms underflow: the rest of
+K2 lies below its last bit.  A later cutoff would have returned
+bk R_9 t_N, at most 51.6 t_k (bk is at most 81 * 4/(2 pi)**10, at s = 2,
+and R_9 < (2 pi)**9).  The test gives t_k < 2**-114 S (E0's clause) and
+t_k < 2**-97 E1 after rounding (E1's clause implies it where
+x_k >= 2**-17, so in every pass with s <= 9.9e6).  So the term
+s (1 + s) bound (1/S + 1/E1) that solver._solve adds to its certificate's
+rounding term s (1 + s) 2**-36 was below s (1 + s) 2**-91, less than half
+an ulp of that term (at least s (1 + s) 2**-90): the sum was the rounding
+term itself, as it is with 0.0, and no certificate decision changes.
 
 The single sum S is _scaled_sum.  For f = (1 + x/a)**(-s) the integral of
 |f^(22)| from N is (s)_21 t_N / Y**21, which its test takes as
@@ -118,25 +164,34 @@ _K2_COEF = 4.0 / _TWO_PI**10  # the bound at order 10, where K2's corrections st
 _LOG2_E = 1.4426950408889634
 
 _MIN_NORMAL = sys.float_info.min
+# The exit's fraction of a partial sum (module docstring), and the gate it
+# takes first, one comparison of t_k against it.
+_TINY = 2.0**-110
+# The pass's exit also asks t_k < 2**-98 E1, so that the K2 bound it drops
+# (at most 51.6 t_k) could not have moved the solver's certificate.
+_K2_DROP = 2.0**-98
 # Neither loop needs a term budget.  With Y = a + N (c + N in the pass) and
 # r = s/Y at a test:
 # - Before the cutoff, a + k < (s + 23)/(2 pi) gives s ln(1 + k/a) >=
-#   s k/(a + k) > 2 pi k - 23, so t_k < e**(23 - 2 pi k) is 0 from k = 123,
-#   which ends the loop: the cutoff comes at N <= 123 or not at all.
+#   s k/(a + k) > 2 pi k - 23, so t_k < e**(23 - 2 pi k), 0 from k = 123.
+#   In the single sum (partial >= 1, (a + k)/(s - 1) < (s + 23)/(2 pi (s - 1)))
+#   the exit then fires by k = 17 where s >= 1.5 and by k = 22 at any s, and
+#   the cutoff comes by k = ceil((s + 23)/(2 pi)), whichever is first.
 # - Past it, the single sum's partial sum holds t_(N-m) for its m terms from
 #   the cutoff, and t_(N-m)/t_N = (Y/(Y - m))**s >= e**(r m).  Its test
 #   bound r**21 t <= partial + integral holds once e**(r m) >= bound r**21,
 #   which at every r takes m >= 21 bound**(1/21)/e: 61 with P(s) <= 21!, and
-#   8 where s >= 210 and P(s) <= e.  A single sum takes at most 184 direct
-#   terms.
+#   8 where s >= 84.  A single sum takes at most 65 direct terms (4 + 61 as
+#   s -> 1; 17 + 8 = 25 where s >= 84), against 184 without the exit.
 # - In the pass, the weights (k/c)**j of E1, E2, G1 and H2 leave the partial
 #   sums small where N << c, so its bound comes from the integrals.  From
 #   N = 1, each test holds on its integral alone where r**22 is below a
 #   function of s alone (E0's is s/((s - 1) b0)), and over s in (2, 2**53],
 #   the s of 1 - q >= 2**-53, the least of them gives r = 0.0404 (H2's, at
 #   s = 2**53).  While a test fails, then, r > 0.0404, and t_N <= e**(-N r)
-#   (s ln(1 + N/c) >= N s/(c + N)), which is 0 from N = 18,500 on.  The
-#   deepest pass found, at s = 2**53 and c = s/0.114, takes 202 terms.
+#   (s ln(1 + N/c) >= N s/(c + N)), which is 0 from N = 18,500 on; the exit
+#   can only end a pass sooner.  The deepest pass found, at s = 2**53 and
+#   c = s/0.114, takes 202 terms: its terms stay above 2**-110 to the cutoff.
 
 
 def _check(s, a):
@@ -177,7 +232,7 @@ def _scaled_sum(s, a):
     # Every single sum enters here.
     _check(s, a)
     span, s_minus_1, bound, factors = _single_terms(s)
-    log1p, exp2, log2_e = math.log1p, math.exp2, _LOG2_E
+    log1p, exp2, log2_e, tiny = math.log1p, math.exp2, _LOG2_E, _TINY
     neg_s = -s
     partial = 0.0
     k = 0
@@ -193,7 +248,8 @@ def _scaled_sum(s, a):
         k += 1
         # -s log2(e) overflows above s = 1.2e308, -s ln(1 + k/a) only where t underflows.
         t = exp2(neg_s * log1p(k / a) * log2_e)
-        if t == 0.0:  # every tail is below the smallest double
+        # The exit (module docstring): nothing later can move partial, at least 1.
+        if t <= tiny and t * (6.0 + (a + k) / s_minus_1) < tiny * partial:
             return partial
     # The corrections sum_m C_m R_(2m-1), with R_(2j+1) = R_(2j-1) (s/Y)**2 f_j.
     f1, f2, f3, f4, f5, f6, f7, f8, f9, f10 = factors
@@ -235,8 +291,9 @@ def _excess_terms(s, q):
     s + 1 counterparts 1/s, 1/(s(s-1)), 2/(s(s-1)(s-2)) and K2's
     1/(s+1), 1/(s(s+1)), 2/((s-1)s(s+1)); the five remainder-bound
     coefficients, each a multiple of the single sum's, and K2's order-10
-    one; and s + 1, ..., s + 21, which step the tails' R_n, so that a pass
-    adds none.
+    one; 2/(s-2), the last peak of the six series' weights, from where the
+    exit's test runs; and s + 1, ..., s + 21, which step the tails' R_n, so
+    that a pass adds none.
     """
     span, _, kp, _ = _single_terms(s)
     om = 1.0 - q
@@ -266,6 +323,7 @@ def _excess_terms(s, q):
             kp * (1.0 + 44.0 * i),
             kp * (s21 * (s + 66.0) + 462.0) * i / s20,
             _K2_COEF * ((s + 10.0) * (s + 31.0) + 90.0) * i * ip,
+            2.0 / sm2,
             shifts)
 
 
@@ -286,13 +344,20 @@ def excess_sums(s: float, c: float, q: float) -> tuple:
     that holds the remainder bound for every series, sigma = s for E_j and
     s + 1 for G1 and H2.  At N = 0 E0 drops the exact t_0 = 1 again; from
     N = 1 the tails would start at t_1, one exp2 and one log1p whose last
-    bits every value would carry.  The rounding of s ln(1 + k/c), about
-    |ln t_k| * 2**-53 relative in t_k, dominates the error where the
-    leading terms are tiny; over the mpmath box of the tests the error
-    stayed below 6e-14 relative wherever the terms are normal doubles.
-    Subnormal terms carry few bits, and E1, E2, G1 and H2, which scale
-    them by (k/c)**j, can be normal and still that far off.  Raises
-    OverflowError where E1 or H2 leaves the double range.
+    bits every value would carry.  It also ends, as the single sum does, at
+    the first k past every weight's peak (k/c >= 2/(s-2)) from where no
+    later term or tail can change a bit of any of its series: the module
+    docstring's exit and its proof.  Where the terms fall fastest, near
+    q -> 1, that is a few terms past the peak; no pass takes more than the
+    termination argument's 18,500 terms, and none found more than 202.
+
+    The rounding of s ln(1 + k/c), about |ln t_k| * 2**-53 relative in
+    t_k, dominates the error where the leading terms are tiny; over the
+    mpmath box of the tests the error stayed below 6e-14 relative wherever
+    the terms are normal doubles.  Subnormal terms carry few bits, and E1,
+    E2, G1 and H2, which scale them by (k/c)**j, can be normal and still
+    that far off.  Raises OverflowError where E1 or H2 leaves the double
+    range.
 
     The pass is memoized by (s, c, q); excess_sums.cache_info() and
     cache_clear() are its cache's, so their misses count fresh passes.
@@ -309,7 +374,9 @@ def _excess_pass(s, c, q):
     cutoff of the other five, which it does not move, so their bits are
     those of a pass without it; its Euler-Maclaurin remainder bound at that
     cutoff, which is not held below 1e-16 of K2, is returned as an
-    absolute error (0 where the terms underflowed first).  K3 = sum
+    absolute error (0.0 where the exit ended the pass, as the rest of K2 is
+    then below its last bit; the module docstring shows that the solver's
+    certificate reads the same error either way).  K3 = sum
     x_k**3 t_k/(1 + x_k)**2 is H2 - K2, as x w**2 = x w - w**2 with
     w = x/(1 + x).
     """
@@ -318,8 +385,8 @@ def _excess_pass(s, c, q):
         raise DomainError(f"excess sums need q in (1/2, 1) and s = 1/(1-q), got s={s}, q={q}")
     _check(s, c)
     (neg_s2, span, i1, i12, i123, j0, j01, j012, h0, h01, h012,
-     b0, b1, b2, bg, bh, bk, shifts) = _excess_terms(s, q)
-    log1p, exp2 = math.log1p, math.exp2
+     b0, b1, b2, bg, bh, bk, peak, shifts) = _excess_terms(s, q)
+    log1p, exp2, tiny = math.log1p, math.exp2, _TINY
     # Where N = 0 can pass, the tails start at the exact term t_0 = 1 and
     # E0's partial sum starts at -1 to take that term out again.
     k, e0 = (0, -1.0) if c >= span else (1, 0.0)
@@ -330,11 +397,22 @@ def _excess_pass(s, c, q):
     while True:
         x = k / c
         t = exp2(neg_s2 * log1p(x))
-        if t == 0.0:  # every tail is below the smallest double
-            return e0, e1, e2, g1, h2, k2, 0.0
         y = c + k
         yc = 1.0 + x  # y/c
         w = x / yc  # k/(c + k), so that x u = t w: u = t/yc can underflow where x u does not
+        # The exit (module docstring): t = 0 (where x may be inf and w nan),
+        # or, past the peaks, each series' 32 terms and integral from k below
+        # 2**-110 of its partial sum.
+        if t <= tiny and (t == 0.0 or x >= peak and t < _K2_DROP * e1
+                          and 32.0 * t + (gy := t * y) * i1 < tiny * e0
+                          and 32.0 * (w * (w * t)) + gy * (w * (w * h0 + 2.0 * h01) + h012) < tiny * k2
+                          and 32.0 * (x * t) + gy * (x * i1 + yc * i12) < tiny * e1
+                          and 32.0 * (t * w) + gy * (w * j0 + j01) < tiny * g1
+                          and 32.0 * (x * (t * w)) + gy * (w * (x * j0 + 2.0 * yc * j01) + yc * j012)
+                          < tiny * h2
+                          and (not has_e2 or 32.0 * (x * (x * t))
+                               + gy * (x * (x * i1 + 2.0 * yc * i12) + yc * yc * i123) < tiny * e2)):
+            return e0, e1, e2, g1, h2, k2, 0.0
         if y >= span:
             yi = 1.0 / y
             gy = t * y

@@ -11,7 +11,10 @@ pin a formula, not a value.
 law_moments is an mpmath oracle for the mean, variance and utilization
 anywhere in the domain, corners included; norros_rho is one for the
 storage model's inverse; model_ii_minimizer is one for the Model II least
-squares fit near a given point.
+squares fit near a given point.  reference_scaled_sum and
+reference_excess_pass are the package's two zeta loops as they were before
+their exit rule, which stop only at the cutoff or where a term underflows:
+the exit must leave every sum's bits as these give them.
 """
 
 import math
@@ -277,3 +280,168 @@ def model_ii_minimizer(beta, rho, eta, mu):
         log_eta, log_mu = mpmath.findroot(gradient, (mpmath.log(eta), mpmath.log(mu)))
         c, d, _ = project(log_eta, log_mu)
         return c, mpmath.exp(log_eta), d, mpmath.exp(log_mu)
+
+
+def reference_scaled_sum(s, a):
+    """zeta._scaled_sum without its exit: it ends at the cutoff or where a
+    term underflows."""
+    from tsqueue import zeta
+
+    zeta._check(s, a)
+    span, s_minus_1, bound, factors = zeta._single_terms(s)
+    log1p, exp2, log2_e = math.log1p, math.exp2, zeta._LOG2_E
+    neg_s = -s
+    partial = 0.0
+    k = 0
+    t = 1.0  # the exact t_0
+    while True:
+        y = a + k
+        if y >= span:
+            r1 = s / y  # below 2 pi here, so P(s) r1**21 t = (s)_21 t / Y**21 is finite
+            integral = t * y / s_minus_1
+            if bound * r1**21 * t <= partial + integral:
+                break
+        partial += t
+        k += 1
+        # -s log2(e) overflows above s = 1.2e308, -s ln(1 + k/a) only where t underflows.
+        t = exp2(neg_s * log1p(k / a) * log2_e)
+        if t == 0.0:  # every tail is below the smallest double
+            return partial
+    # The corrections sum_m C_m R_(2m-1), with R_(2j+1) = R_(2j-1) (s/Y)**2 f_j.
+    f1, f2, f3, f4, f5, f6, f7, f8, f9, f10 = factors
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = zeta._EM_COEFFS
+    rr = r1 * r1
+    r3 = r1 * rr * f1
+    r5 = r3 * rr * f2
+    r7 = r5 * rr * f3
+    r9 = r7 * rr * f4
+    r11 = r9 * rr * f5
+    r13 = r11 * rr * f6
+    r15 = r13 * rr * f7
+    r17 = r15 * rr * f8
+    r19 = r17 * rr * f9
+    r21 = r19 * rr * f10
+    corrections = (c1 * r1 + c2 * r3 + c3 * r5 + c4 * r7 + c5 * r9 + c6 * r11 + c7 * r13
+                   + c8 * r15 + c9 * r17 + c10 * r19 + c11 * r21)
+    total = partial + integral + t * (0.5 + corrections)
+    if not math.isfinite(total):
+        raise OverflowError(f"scaled zeta sum overflows for s={s}, a={a}")
+    return total
+
+
+def reference_excess_pass(s, c, q):
+    """zeta._excess_pass, unmemoized, without its exit: it ends at the cutoff
+    or where a term underflows."""
+    from tsqueue import zeta
+
+    s, c, q = float(s), float(c), float(q)
+    if not (0.5 < q < 1.0 and s == 1.0 / (1.0 - q)):
+        raise zeta.DomainError(f"excess sums need q in (1/2, 1) and s = 1/(1-q), got s={s}, q={q}")
+    zeta._check(s, c)
+    (neg_s2, span, i1, i12, i123, j0, j01, j012, h0, h01, h012,
+     b0, b1, b2, bg, bh, bk, _, shifts) = zeta._excess_terms(s, q)
+    log1p, exp2 = math.log1p, math.exp2
+    # Where N = 0 can pass, the tails start at the exact term t_0 = 1 and
+    # E0's partial sum starts at -1 to take that term out again.
+    k, e0 = (0, -1.0) if c >= span else (1, 0.0)
+    e1 = g1 = h2 = k2 = 0.0
+    # A divergent E2 is inf, and so is its tail: its test is skipped.
+    has_e2 = i123 > 0.0
+    e2 = ie2 = 0.0 if has_e2 else math.inf
+    while True:
+        x = k / c
+        t = exp2(neg_s2 * log1p(x))
+        if t == 0.0:  # every tail is below the smallest double
+            return e0, e1, e2, g1, h2, k2, 0.0
+        y = c + k
+        yc = 1.0 + x  # y/c
+        w = x / yc  # k/(c + k), so that x u = t w: u = t/yc can underflow where x u does not
+        if y >= span:
+            yi = 1.0 / y
+            gy = t * y
+            bv = t * (s * yi)**21  # below (2 pi)**21 t: s/Y < 2 pi here
+            # Each series' integral from N, kept for its tail.  H2's test
+            # first: it binds most often, then E2's and G1's.
+            if (bh * bv * yc <= h2 + (ih2 := gy * (w * (x * j0 + 2.0 * yc * j01) + yc * j012))
+                    and (not has_e2 or b2 * bv * yc * yc
+                         <= e2 + (ie2 := gy * (x * (x * i1 + 2.0 * yc * i12) + yc * yc * i123)))
+                    and bg * bv <= g1 + (ig1 := gy * (w * j0 + j01))
+                    and b1 * bv * yc <= e1 + (ie1 := gy * (x * i1 + yc * i12))
+                    and b0 * bv <= e0 + (ie0 := gy * i1)):
+                break
+        e0 += t
+        xt = x * t
+        e1 += xt
+        e2 += x * xt
+        xu = t * w
+        g1 += xu
+        h2 += x * xu
+        k2 += w * xu
+        k += 1
+    # The tails from N: x = N/c, yc = Y/c for Y = c + N, w = N/Y, gy = t Y.  The
+    # s + 1 series' boundary term u = t/yc enters through t and gy (u Y = t c,
+    # u N = t w), which do not underflow before the tails they carry.
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = zeta._EM_COEFFS
+    d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = zeta._EM_SLOPES
+    a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = zeta._EM_CURVES
+    # R_n = (s)_n / Y**n, below (2 pi)**n: each (s + n - 1)/Y < 2 pi (s + 21)/(s + 23).
+    # p_n = s + n comes from _excess_terms.
+    (p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11,
+     p12, p13, p14, p15, p16, p17, p18, p19, p20, p21) = shifts
+    q1 = s * yi
+    q2 = q1 * p1 * yi
+    q3 = q2 * p2 * yi
+    q4 = q3 * p3 * yi
+    q5 = q4 * p4 * yi
+    q6 = q5 * p5 * yi
+    q7 = q6 * p6 * yi
+    q8 = q7 * p7 * yi
+    q9 = q8 * p8 * yi
+    q10 = q9 * p9 * yi
+    q11 = q10 * p10 * yi
+    q12 = q11 * p11 * yi
+    q13 = q12 * p12 * yi
+    q14 = q13 * p13 * yi
+    q15 = q14 * p14 * yi
+    q16 = q15 * p15 * yi
+    q17 = q16 * p16 * yi
+    q18 = q17 * p17 * yi
+    q19 = q18 * p18 * yi
+    q20 = q19 * p19 * yi
+    q21 = q20 * p20 * yi
+    q22 = q21 * p21 * yi
+    # With C_m = B_2m/(2m)!, -sum_m C_m f^(2m-1)(N) is g W0 for f = (1 + x/c)**(-s),
+    # g (N W0 + W1) for x f and g (N**2 W0 + 2 N W1 + W2) for x**2 f.
+    w0 = (c1 * q1 + c2 * q3 + c3 * q5 + c4 * q7 + c5 * q9 + c6 * q11 + c7 * q13
+          + c8 * q15 + c9 * q17 + c10 * q19 + c11 * q21)
+    w1 = -(d1 + d2 * q2 + d3 * q4 + d4 * q6 + d5 * q8 + d6 * q10 + d7 * q12
+           + d8 * q14 + d9 * q16 + d10 * q18 + d11 * q20)
+    w2 = (a2 * q1 + a3 * q3 + a4 * q5 + a5 * q7 + a6 * q9 + a7 * q11 + a8 * q13
+          + a9 * q15 + a10 * q17 + a11 * q19)
+    # The same for sigma = s + 1, over Y/s: (s+1)_n / Y**n = (Y/s) R_(n+1).
+    v0 = (c1 * q2 + c2 * q4 + c3 * q6 + c4 * q8 + c5 * q10 + c6 * q12 + c7 * q14
+          + c8 * q16 + c9 * q18 + c10 * q20 + c11 * q22)
+    v1 = -(d1 * q1 + d2 * q3 + d3 * q5 + d4 * q7 + d5 * q9 + d6 * q11 + d7 * q13
+           + d8 * q15 + d9 * q17 + d10 * q19 + d11 * q21)
+    v2 = (a2 * q2 + a3 * q4 + a4 * q6 + a5 * q8 + a6 * q10 + a7 * q12 + a8 * q14
+          + a9 * q16 + a10 * q18 + a11 * q20)
+    # K2's to B10, for sigma = s + 2 over Y**2/(s (s+1)): (s+2)_n / Y**n = Y**2 R_(n+2) / (s (s+1)).
+    z0 = c1 * q3 + c2 * q5 + c3 * q7 + c4 * q9 + c5 * q11
+    z1 = -(d1 * q2 + d2 * q4 + d3 * q6 + d4 * q8 + d5 * q10)
+    z2 = a2 * q3 + a3 * q5 + a4 * q7 + a5 * q9
+    ic = 1.0 / c
+    gx, tw, ts = t * x, t * w, t / s
+    gnw = gy * w / s  # u Y N / (s c), the s + 1 series' correction scale times N/c
+    half_w0 = 0.5 + w0
+    e0 += ie0 + t * half_w0
+    e1 += ie1 + gx * half_w0 + t * w1 * ic
+    e2 += ie2 + gx * (x * half_w0 + 2.0 * w1 * ic) + t * w2 * ic * ic
+    g1 += ig1 + 0.5 * tw + gnw * v0 + ts * v1
+    h2 += ih2 + 0.5 * tw * x + gnw * (x * v0 + 2.0 * v1 * ic) + ts * v2 * ic
+    # K2's boundary term t (c/Y)**2 enters as t over Y**2/(s (s+1)), and its
+    # integral from N is t Y (w**2/(s+1) + 2 w/(s (s+1)) + 2/((s-1) s (s+1))).
+    k2 += (gy * (w * (w * h0 + 2.0 * h01) + h012) + 0.5 * tw * w
+           + t * h01 * (k * (k * z0 + 2.0 * z1) + z2))
+    if not (math.isfinite(e1) and math.isfinite(h2)):
+        raise OverflowError(f"excess sums overflow for s={s}, a={c}")
+    return e0, e1, e2, g1, h2, k2, bk * q9 * t

@@ -102,6 +102,13 @@ def overflow(q, beta, x):
         return +((c / a) ** s * oracles._mp_scaled_sum(s, a) / oracles._mp_scaled_sum(s, c))
 
 
+def tail_coefficient(q, beta):
+    """c**s / (S (s - 1)), the B of P(i > x) ~ B x**(1 - s)."""
+    with mpmath.workdps(_digits(q)):
+        s, c = _law(q, beta)
+        return +(c**s / (oracles._mp_scaled_sum(s, c) * (s - 1)))
+
+
 def law_value(column, q, beta):
     """The exact value of a law column at (q, beta), or None if not scored."""
     if column in ("mean", "variance", "utilization"):
@@ -140,9 +147,7 @@ def point_exact(name, column, row):
     if name == "tail":
         return overflow(f["q"], f["beta"], int(f["x"]))
     if name.startswith("metrics") and column == "tail_coefficient":
-        with mpmath.workdps(_digits(f["q"])):  # c**s / (S (s - 1)), of P(i > x) ~ B x**(1 - s)
-            s, c = _law(f["q"], f["beta"])
-            return +(c**s / (oracles._mp_scaled_sum(s, c) * (s - 1)))
+        return tail_coefficient(f["q"], f["beta"])
     if name.startswith("metrics"):
         return law_value(column, f["q"], f["beta"])
     return None

@@ -280,6 +280,16 @@ class TestGenerateAndFit:
         code, out, err = run(capsys, "fit", "--model", "II", "--in", str(data))
         assert (code, out, err) == (2, "", "error: Model II amplitude c exceeds the double range\n")
 
+    def test_model_i_goodness_at_huge_rho(self, capsys, tmp_path):
+        # rmse read inf and r_squared nan here, with exit 0.
+        data = tmp_path / "huge.csv"
+        rows = [f"1,{b},{r},0.7" for b, r in zip((1, 2, 3, 4), (4e200, 3e200, 2.5e200, 2e200))]
+        data.write_text("\n".join(["mean,beta,rho,q", *rows]) + "\n")
+        code, out, err = run(capsys, "fit", "--model", "I", "--in", str(data), "--format", "json")
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        assert math.isfinite(report["rmse"]) and 0.0 < report["r_squared"] < 1.0, report
+
     @pytest.mark.parametrize("text,message", [
         ("mean,rho,beta,q\n1,0.4,0.5,0.6\n",
          "line 1: expected header mean,beta,rho,q, got mean,rho,beta,q"),

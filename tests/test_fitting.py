@@ -280,6 +280,22 @@ class TestModelI:
         assert report.rmse < 1e-12
         assert report.converged
 
+    @pytest.mark.parametrize("rho", [
+        [4e200, 3e200, 2.5e200, 2e200],
+        [4e160, 3e160, 2.5e160, 2e160],
+        [4e300, 3e300, 2.5e300, 2e300],
+    ])
+    def test_goodness_stays_finite_at_huge_rho(self, rho):
+        # Squared residuals and deviations overflowed here: rmse read inf and
+        # r_squared nan.  Scaled by a power of two, every field is the one
+        # of the same fit on rho scaled down, scaled back exactly.
+        beta = [1.0, 2.0, 3.0, 4.0]
+        report = fit_model_i(beta, rho)
+        small = fit_model_i(beta, [math.ldexp(r, -1000) for r in rho])
+        assert report.params == tuple(math.ldexp(p, 1000) for p in small.params)
+        assert (report.rmse, report.r_squared) == (math.ldexp(small.rmse, 1000), small.r_squared)
+        assert math.isfinite(report.rmse) and 0.0 < report.r_squared < 1.0, report
+
     def test_two_point_system_with_duplicate(self):
         beta, rho = [0.0, math.log(2.0), math.log(2.0)], [1.0, 0.6, 0.6]
         report = fit_model_i(beta, rho)
@@ -553,6 +569,21 @@ class TestEvaluateFit:
     def test_model_ii_overflow_names_the_beta(self, params, beta, term):
         report = FitReport("II", params, 0.1, 0.9, 1, converged=True)
         message = f"Model II term {term} exceeds the double range at beta={beta!r}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            evaluate_fit(report, beta)
+
+    @pytest.mark.parametrize("kind,params,beta,what", [
+        ("II", (1e308, 2.0, 0.5, 1.0), 0.1, "Model II product c*beta**(-eta)"),
+        ("II", (0.5, 2.0, 1e308, -1.0), 1.0, "Model II product d*exp(-mu*beta)"),
+        ("II", (1e308, 0.0, 1e308, 0.0), 1.0, "Model II prediction c*beta**(-eta) + d*exp(-mu*beta)"),
+        ("I", (1e308, 1e308), -1.0, "Model I product b*exp(-beta)"),
+        ("I", (1e308, 1e308), 0.0, "Model I prediction a + b*exp(-beta)"),
+    ])
+    def test_overflowing_prediction_names_its_product(self, kind, params, beta, what):
+        # Each term is a double here, but its product with the amplitude, or
+        # the sum, is not: a prediction raises rather than return inf.
+        report = FitReport(kind, params, 0.1, 0.9, 1, converged=True)
+        message = f"{what} exceeds the double range at beta={beta!r}"
         with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
             evaluate_fit(report, beta)
 

@@ -220,7 +220,7 @@ class TestDomainAndRange:
                 assert math.isfinite(log_hurwitz_zeta(s, a)), (s, a)
 
     def test_every_loop_ends_within_its_bound(self, direct_terms):
-        # The module's termination argument: a single sum takes at most 184
+        # The module's termination argument: a single sum takes at most 65
         # direct terms at any (s, a); the pass's proof allows 18,500 at
         # s <= 2**53, where the deepest found, the first call here, takes
         # 202.  Seeded draws over the whole domain take fewer.  The pass is
@@ -244,7 +244,7 @@ class TestDomainAndRange:
             except OverflowError:  # S, E1 or H2 beyond the double range
                 pass
             deepest[loop] = max(deepest[loop], direct_terms[0])
-        assert deepest[single_sum] <= 184, deepest
+        assert deepest[single_sum] <= 65, deepest
         assert 200 <= deepest[excess_pass] <= 250, deepest
 
     @pytest.mark.parametrize("s,a", [(1.0001, 1e305), (1.5, 1e308), (1.000001, 1e303)])
@@ -261,3 +261,83 @@ class TestDomainAndRange:
         with pytest.raises(OverflowError):
             hurwitz_zeta(500.0, 100.0)
         assert math.isfinite(log_hurwitz_zeta(500.0, 100.0))
+
+
+class TestExit:
+    """Both loops return their partial sums once no later addition can move
+    them (the module docstring's exit), and so give the bits of the same
+    loops without the exit (tests/oracles.py)."""
+
+    @staticmethod
+    def _single_sum_draws(rng, n):
+        for _ in range(n):
+            yield 1.0 + 2.0 ** rng.uniform(-52, 1023), 2.0 ** rng.uniform(-1074, 1023)
+            s = 1.0 + 10.0 ** rng.uniform(-3, 7)  # up to the q -> 1 corner's s
+            yield s, s * 10.0 ** rng.uniform(-4, 1)
+
+    @staticmethod
+    def _pass_draws(rng, n):
+        for _ in range(n):
+            q = 1.0 - 2.0 ** rng.uniform(-53, -1.0001)  # the whole domain
+            yield q, 2.0 ** rng.uniform(-1074, 1023)
+            q = 1.0 - 10.0 ** rng.uniform(-7, -2)  # the q -> 1 corner
+            yield q, 10.0 ** rng.uniform(-3, 1) / (1.0 - q)
+            q = 1.0 - 10.0 ** rng.uniform(-6, math.log10(0.45))  # the queries domain
+            yield q, 1.0 / (10.0 ** rng.uniform(-3, 2) * (1.0 - q))
+            yield q, 2.0 ** rng.uniform(-1074, -1022)  # subnormal c
+            yield q, (1.0 / (1.0 - q) + 23.0) / (2.0 * math.pi) * 2.0 ** rng.uniform(0, 8)  # N = 0
+
+    @staticmethod
+    def _outcome(loop, *args):
+        try:
+            return repr(loop(*args))
+        except OverflowError as exc:
+            return f"OverflowError: {exc}"
+
+    def test_single_sums_keep_their_bits(self, direct_terms, monkeypatch):
+        monkeypatch.setattr(oracles, "math", zeta.math)  # count the oracle's terms too
+        rng = random.Random(34)
+        shorter = 0
+        for s, a in self._single_sum_draws(rng, 3000):
+            direct_terms[0] = 0
+            got = self._outcome(zeta._scaled_sum, s, a)
+            terms = direct_terms[0]
+            direct_terms[0] = 0
+            assert got == self._outcome(oracles.reference_scaled_sum, s, a), (s, a)
+            shorter += terms < direct_terms[0]
+        assert shorter >= 500, shorter  # the exit ran, and ended loops early
+
+    def test_passes_keep_their_bits_and_the_certificate(self):
+        # K2's bound may drop to 0.0; where it does, the bound the loop
+        # without the exit returns rounds away in solver._solve's error term.
+        rng = random.Random(34)
+        dropped = set()
+        for q, c in self._pass_draws(rng, 1200):
+            s = 1.0 / (1.0 - q)
+            got = self._outcome(lambda *a: _excess_pass.__wrapped__(*a)[:6], s, c, q)
+            assert got == self._outcome(lambda *a: oracles.reference_excess_pass(*a)[:6], s, c, q), (s, c, q)
+            if got.startswith("OverflowError"):
+                continue
+            *sums, bound = _excess_pass.__wrapped__(s, c, q)
+            old = oracles.reference_excess_pass(s, c, q)[6]
+            if bound != old:
+                assert bound == 0.0, (s, c, q)
+                e0, e1 = sums[:2]
+                rounding = s * (1.0 + s) * 2.0**-36  # solver._ROUNDING's term
+                assert rounding + s * (1.0 + s) * old * (1.0 / (1.0 + e0) + 1.0 / e1) == rounding, (s, c, q)
+                dropped.add(round(math.log10(1.0 - q)))
+        assert len(dropped) >= 3, dropped  # the exit ran at q over several decades of 1 - q
+
+    def test_deep_sums_take_a_handful_of_terms(self, direct_terms):
+        # Near q -> 1 the terms fall below an ulp of the sum within a few k:
+        # the loops without the exit took 8, 75 and 75 direct terms here, to
+        # the first term that underflows.
+        for a, most in ((1e3, 1), (1e4, 8)):
+            direct_terms[0] = 0
+            scaled_hurwitz_zeta(1e5, a)
+            assert direct_terms[0] <= most, (a, direct_terms[0])
+        q = 1.0 - 1e-5
+        direct_terms[0] = 0
+        _excess_pass.__wrapped__(1.0 / (1.0 - q), 1e4, q)
+        assert direct_terms[0] <= 12, direct_terms[0]
+
