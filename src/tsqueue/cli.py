@@ -170,7 +170,11 @@ def _correspondence_columns(text):
     """The columns of a correspondence CSV (mean, beta, rho, q), each a list
     of finite floats.  Each column is converted and checked in one pass;
     only when that fails are the rows walked, to name the first bad line."""
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise InputFormatError(f"line {reader.line_num}: {exc}") from None
     layout = ",".join(CSV_HEADER)
     if not rows:
         raise InputFormatError(f"line 1: empty file (expected header {layout})")
@@ -201,10 +205,19 @@ def _correspondence_columns(text):
 
 
 def _read_text(path):
+    """The file's text, or an InputFormatError; where a byte is no UTF-8,
+    the error names the line it is on, counting lines as text mode does."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"line 1: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # read_text decodes the whole file at once: exc.object
+        data, start = exc.object, exc.start
+        before = data[:start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line = before.count("\n") + 1
+        raise InputFormatError(
+            f"line {line}: byte 0x{data[start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
 
 
 # --------------------------------------------------------------- handlers

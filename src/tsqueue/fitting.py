@@ -27,7 +27,7 @@ from .distribution import _validate_q
 from .errors import DomainError, NoConvergence, SingularFit
 from .norros import hurst_from_q, norros_rho
 from .record import Record
-from .solver import _solve
+from .solver import _setup, _solve
 from .zeta import _exp
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 _GRADIENT_TOL = 1e-10
 _MAX_GN_ITER = 500
 _POLISH_STEP = 1e-10  # Model II's last step in ln eta and ln mu
-_MAX_POINTS = 10**6  # about 20 s, at 18-21 us per point
+_MAX_POINTS = 10**6  # about 15-19 s, at 15-19 us per point through the CLI
 _LN_10 = 2.302585092994046  # ln 10, the nearest double
 _TANGENT_GAP = 2.0**-40  # a start this close to the tangent's, in ln beta, gains nothing
 
@@ -123,40 +123,43 @@ def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
         raise DomainError(f"points={points} exceeds the maximum of {_MAX_POINTS}")
     hurst = hurst_from_q(fq)
     h = _LN_10 * _grid_step(mean_min, mean_max, points)  # the grid's step in ln mean
-    records, beta, known = [], None, []
+    setup, log = _setup(fq, True), math.log
+    records, beta = [], None
+    # (y0, d0), (y1, d1), (y2, d2) are (ln beta, h d ln beta / d ln mean) of
+    # the last three solves, the latest last; solved counts the solves.  On
+    # nodes one grid step apart, the Hermite interpolant's value a step on
+    # is a fixed sum of these; step is that value less the last ln beta.
+    y1 = d1 = y2 = d2 = None
+    solved = 0
     for target in _mean_grid(mean_min, mean_max, points):
-        # known holds (ln beta, h d ln beta / d ln mean) of up to the last
-        # three solves.  On nodes one grid step apart, the Hermite
-        # interpolant's value a step on is a fixed sum of these; step is that
-        # value less the last ln beta.
         beta0 = beta
-        if len(known) >= 2:
-            if len(known) == 2:
-                (y0, d0), (y1, d1) = known
-                step = 5.0 * (y0 - y1) + 2.0 * d0 + 4.0 * d1
+        if solved >= 2:
+            if solved == 2:
+                step = 5.0 * (y1 - y2) + 2.0 * d1 + 4.0 * d2
             else:
-                (y0, d0), (y1, d1), (y2, d2) = known
                 step = 10.0 * (y0 - y2) + 9.0 * (y1 - y2) + 3.0 * d0 + 18.0 * d1 + 9.0 * d2
             # d ln mean / d ln c falls from s to 1 as c grows, so ln beta falls
-            # by at least the tangent's step and at most h; a nan step is
+            # by at least the tangent's step d2 and at most h; a nan step is
             # dropped.  Where the step is the tangent's to within _TANGENT_GAP
             # (as where the slope is 1, at means above about 1e170), the start
             # stays at the previous beta: the solver's tangent step from that
             # cached pass reads the exact target.
-            tangent = known[-1][1]
-            step = max(-h, min(tangent, step))
-            if abs(step - tangent) > _TANGENT_GAP:
+            if not step < d2:
+                step = d2
+            if not step > -h:
+                step = -h
+            if abs(step - d2) > _TANGENT_GAP:
                 beta0 = beta * _exp(step)
         try:  # solve_beta's loop, on the floats its checks would pass it
-            beta, _, _, _, slope = _solve(fq, float(target), beta0, True)
+            beta, _, _, _, slope = _solve(fq, float(target), beta0, setup)
         except NoConvergence as exc:
             raise NoConvergence(
                 f"beta solve failed at mean={target}: {exc}",
                 beta=exc.beta, residual=exc.residual, iterations=exc.iterations,
             ) from exc
-        known = [*known[-2:], (math.log(beta), -h / slope)]
-        rho = norros_rho(target, hurst)
-        records.append(CorrespondenceRecord(mean=target, beta=beta, rho=rho, q=fq))
+        y0, d0, y1, d1, y2, d2 = y1, d1, y2, d2, log(beta), -h / slope
+        solved += 1
+        records.append(CorrespondenceRecord(target, beta, norros_rho(target, hurst), fq))
     return records
 
 
@@ -258,6 +261,16 @@ def fit_model_i(beta, rho) -> FitReport:
     if line is None:
         raise SingularFit("all regressor values exp(-beta) are identical")
     a, b = line
+    # The slope's quotient, or the intercept's product with it, can leave the
+    # double range where rho spans most of it.
+    for name, value in (("slope b", b), ("intercept a", a)):
+        if not math.isfinite(value):
+            raise OverflowError(f"Model I {name} exceeds the double range")
+    # The slope's quotient, or the intercept's product with it, can leave the
+    # double range where rho spans most of it.
+    for name, value in (("slope b", b), ("intercept a", a)):
+        if not math.isfinite(value):
+            raise OverflowError(f"Model I {name} exceeds the double range")
     residuals = [r - (a + b * x) for r, x in zip(rho, regressor)]
     # rho and the residuals scaled by a power of two, as Model II fits rho, and
     # rmse back: a power of two commutes with every rounding in _goodness, so

@@ -59,20 +59,24 @@ def norros_rho(mean: float, hurst: float) -> float:
     _validate_hurst(hurst)
     one_minus_h = 1.0 - hurst
     a, b = 0.5 / one_minus_h, hurst / one_minus_h
+    spread, log1p = b - a, math.log1p
     log_mean = math.log(mean)
     x = log_mean / (a if mean < 1.0 else b)
     dx = math.inf
-    while dx > 4e-16 * max(1.0, abs(x)):
-        e = _exp(-abs(x))
-        soft = math.log1p(e)  # softplus(-|x|)
-        lower = e / (1.0 + e)  # min(rho, 1 - rho)
+    # max(1, |x|) and -|x| as expressions: a loop of a few iterates per call
+    # pays more for builtin calls than for its arithmetic.
+    while dx > 4e-16 * (x if x > 1.0 else -x if x < -1.0 else 1.0):
         if x < 0.0:
-            f, slope = b * soft - a * (soft - x), a + (b - a) * lower
+            e = _exp(x)
+            soft = log1p(e)  # softplus(-|x|)
+            f, slope = b * soft - a * (soft - x), a + spread * (e / (1.0 + e))
         else:
-            f, slope = b * (x + soft) - a * soft, b - (b - a) * lower
+            e = _exp(-x)
+            soft = log1p(e)
+            f, slope = b * (x + soft) - a * soft, b - spread * (e / (1.0 + e))
         dx = (f - log_mean) / slope
         x -= dx
-    e = _exp(-abs(x))
+    e = _exp(x if x < 0.0 else -x)
     if x < 0.0:
         return e / (1.0 + e)
     p, y, two_h = e / (1.0 + e), mean ** (2.0 * one_minus_h), 2.0 * hurst

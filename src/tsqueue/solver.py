@@ -184,24 +184,35 @@ def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float 
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     _validate_target(q, A)
-    beta, iterations, residual, bisected, _ = _solve(float(q), float(A), beta0, False, tol, max_iter)
+    q = float(q)
+    setup = _setup(q, False, tol, max_iter)
+    beta, iterations, residual, bisected, _ = _solve(q, float(A), beta0, setup)
     return SolverResult(beta, iterations, residual, bisected)
 
 
-def _solve(q, A, beta0, certify=False, tol=_TOL, max_iter=_MAX_ITER):
-    """solve_beta's loop, on float q and A and arguments it has checked:
-    (beta, iterations, residual, fallback_used, slope), where slope is
-    d ln mean / d ln c at the returned beta.  With certify, a Halley step
-    whose remainder is certified below 2**-60 in ln beta ends the solve
-    unevaluated: its residual is nan, and its slope f' + f'' d (see the
-    module docstring); otherwise the slope is _log_slope of the returned
-    beta's pass."""
+def _setup(q, certify=False, tol=_TOL, max_iter=_MAX_ITER):
+    """What every solve at one float q shares, so that a grid builds it once
+    for its 50: (s, certify, tol, the floor min(tol, 2**-52), max_iter), then
+    with certify the certificate's s (1 + s), its rounding term and
+    _derivative_bounds(s), and None for each of these four without."""
     s = 1.0 / (1.0 - q)
+    shared = s, certify, tol, min(tol, 2.0**-52), max_iter
+    if not certify:
+        return (*shared, None, None, None, None)
+    s_s1 = s * (1.0 + s)
+    return (*shared, s_s1, s_s1 * _ROUNDING, *_derivative_bounds(s))
+
+
+def _solve(q, A, beta0, setup):
+    """solve_beta's loop, on float q and A, arguments it has checked and
+    _setup(q, ...): (beta, iterations, residual, fallback_used, slope),
+    where slope is d ln mean / d ln c at the returned beta.  With certify, a
+    Halley step whose remainder is certified below 2**-60 in ln beta ends
+    the solve unevaluated: its residual is nan, and its slope f' + f'' d
+    (see the module docstring); otherwise the slope is _log_slope of the
+    returned beta's pass."""
+    s, certify, tol, floor, max_iter, s_s1, rounding, curve_bound, third_bound = setup
     target = tol * A
-    floor = min(tol, 2.0**-52)
-    if certify:
-        curve_bound, third_bound = _derivative_bounds(s)
-        rounding = s * (1.0 + s) * _ROUNDING
     lo, hi = 0.0, math.inf  # mean > A at lo, < A at hi
     if beta0 is not None:
         beta = beta0
@@ -220,15 +231,17 @@ def _solve(q, A, beta0, certify=False, tol=_TOL, max_iter=_MAX_ITER):
         try:
             e0, e1, _, g1, h2, k2, k2_bound = _excess_pass(s, c, q)
         except OverflowError:  # E1 past the double range: the mean is above every double
-            lo = max(lo, beta)
+            if beta > lo:
+                lo = beta
             resid, step, slope = math.inf, math.nan, math.nan
         else:
             total = 1.0 + e0
             m = c * (e1 / total)
             if m > A:
-                lo = max(lo, beta)
-            elif m < A:
-                hi = min(hi, beta)
+                if beta > lo:
+                    lo = beta
+            elif m < A and beta < hi:
+                hi = beta
             resid = m - A
             if e1 == 0.0:  # every term underflowed: step on the first, ln mean = -s ln(1 + 1/c)
                 slope = math.nan
@@ -260,7 +273,7 @@ def _solve(q, A, beta0, certify=False, tol=_TOL, max_iter=_MAX_ITER):
             )
         iterations += 1
         # A step is clamped to 700 in ln beta; a nan step stays nan.
-        candidate = beta * _exp(min(max(step, -700.0), 700.0))
+        candidate = beta * _exp(700.0 if step > 700.0 else -700.0 if step < -700.0 else step)
         # A step below beta's resolution moves nothing, and one of at most
         # floor in ln beta moves it by rounding alone: either ends the solve
         # at the target, and the first goes to the bracket short of it.
@@ -271,7 +284,7 @@ def _solve(q, A, beta0, certify=False, tol=_TOL, max_iter=_MAX_ITER):
             # bound/gap of the step's end.
             size = abs(step)
             gap = slope - 2.0 * curve_bound * size  # the least f' within 2 |d| of beta
-            error = rounding + s * (1.0 + s) * k2_bound * (1.0 / total + 1.0 / e1)
+            error = rounding + s_s1 * k2_bound * (1.0 / total + 1.0 / e1)
             bound = size * (0.5 * abs(curve) * abs(step - newton)
                             + size * (0.5 * error + third_bound * size / 6.0))
             if 0.0 < gap and bound <= _CERTIFIED * gap:

@@ -15,6 +15,8 @@ squares fit near a given point.  reference_scaled_sum and
 reference_excess_pass are the package's two zeta loops as they were before
 their exit rule, which stop only at the cutoff or where a term underflows:
 the exit must leave every sum's bits as these give them.
+reference_norros_rho is the storage model's inverse as it was before its
+Newton loop lost its builtin calls, which must not have moved a bit.
 """
 
 import math
@@ -445,3 +447,31 @@ def reference_excess_pass(s, c, q):
     if not (math.isfinite(e1) and math.isfinite(h2)):
         raise OverflowError(f"excess sums overflow for s={s}, a={c}")
     return e0, e1, e2, g1, h2, k2, bk * q9 * t
+
+
+def reference_norros_rho(mean, hurst):
+    """norros.norros_rho's arithmetic with max(1, |x|), -|x|, math.log1p and
+    b - a as it read them at each iterate, on arguments it accepts."""
+    from tsqueue.zeta import _exp
+
+    one_minus_h = 1.0 - hurst
+    a, b = 0.5 / one_minus_h, hurst / one_minus_h
+    log_mean = math.log(mean)
+    x = log_mean / (a if mean < 1.0 else b)
+    dx = math.inf
+    while dx > 4e-16 * max(1.0, abs(x)):
+        e = _exp(-abs(x))
+        soft = math.log1p(e)  # softplus(-|x|)
+        lower = e / (1.0 + e)  # min(rho, 1 - rho)
+        if x < 0.0:
+            f, slope = b * soft - a * (soft - x), a + (b - a) * lower
+        else:
+            f, slope = b * (x + soft) - a * soft, b - (b - a) * lower
+        dx = (f - log_mean) / slope
+        x -= dx
+    e = _exp(-abs(x))
+    if x < 0.0:
+        return e / (1.0 + e)
+    p, y, two_h = e / (1.0 + e), mean ** (2.0 * one_minus_h), 2.0 * hurst
+    p -= (p**two_h * y + p - 1.0) / (two_h * p ** (two_h - 1.0) * y + 1.0)
+    return 1.0 - p

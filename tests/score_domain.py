@@ -6,7 +6,7 @@ against mpmath, under the oracle rule of ROADMAP.md.
 run from the repo root, imports the package at ``PARENT_REF`` and in the
 working tree (or at ``NEW_REF``) side by side, each extracted with
 ``git archive`` into a temporary directory and imported under a name of
-its own, and scores three seeded sets:
+its own, and scores four seeded sets:
 
 - grid betas: ``generate_correspondence(q)`` on the default 50-point mean
   grid at q = 0.55 + 0.42 i/29, i = 0..29, 1,500 betas;
@@ -17,12 +17,18 @@ its own, and scores three seeded sets:
   the benchmark's qos query, and ``tail(model, x)`` at 200 draws of the
   same domain, beta log-uniform in [1e-3, 1e2] and x in [1, 1e6]
   (``random.Random(20261021)``).  Each field is a set of its own (every
-  P(i > x) one set, ``tail``); the tail exponent, s - 1, is not scored.
+  P(i > x) one set, ``tail``); the tail exponent, s - 1, is not scored;
+- storage-model rho: ``norros_rho(mean, hurst)`` at 400 draws, half over
+  the whole domain (mean log-uniform in [1e-300, 1e300], hurst uniform in
+  [0.5, 1)) and half where the figures read it (mean log-uniform in
+  [0.1, 100], hurst = 1.5 - q for q uniform in [0.55, 0.97])
+  (``random.Random(20261022)``).
 
 A beta is scored against the exact root of mean(q, beta) = A
 (``score_goldens.exact_root``), a query value against the law at the
 draw's (q, beta) (``oracles.law_moments``, ``score_goldens.overflow`` and
-``score_goldens.tail_coefficient``); a value whose exact counterpart lies
+``score_goldens.tail_coefficient``), a rho against ``oracles.norros_rho``
+at the draw's (mean, hurst); a value whose exact counterpart lies
 outside the normal double range, or that the package leaves out (the
 variance at q <= 2/3), is counted as not scored.  Each set prints the
 number of values that differ between the two sides, the rule's clauses
@@ -53,6 +59,7 @@ import score_goldens
 GRIDS = 30
 SOLVES = 400
 QUERIES = 200
+NORROS = 400
 QOS_POINTS = (0, 10, 100, 1000)  # perfbench/workloads.py's QOS_POINTS
 
 
@@ -130,6 +137,35 @@ def query_exact(q, beta, fields):
     return exact
 
 
+def norros_draws():
+    rng = random.Random(20261022)
+    draws = []
+    for _ in range(NORROS // 2):
+        draws.append((math.exp(rng.uniform(math.log(1e-300), math.log(1e300))),
+                      rng.uniform(0.5, 1.0)))
+        draws.append((math.exp(rng.uniform(math.log(0.1), math.log(100.0))),
+                      1.5 - rng.uniform(0.55, 0.97)))
+    return draws
+
+
+def norros_values(package, draws):
+    return [(mean, hurst, package.norros_rho(mean, hurst))
+            for mean, hurst in norros_draws()[:draws]]
+
+
+def score_norros(old, new):
+    cells, unscored = [], 0
+    for (mean, hurst, before), (_, _, after) in zip(old, new):
+        exact = oracles.norros_rho(mean, hurst)
+        if not sys.float_info.min <= exact <= sys.float_info.max:
+            unscored += 1
+            continue
+        cells.append((f"mean={mean!r} hurst={hurst!r}", (mean, hurst), before, after, exact))
+    score("storage-model rho", cells)
+    if unscored:
+        print(f"not scored (outside the normal range): rho {unscored}")
+
+
 def score(title, cells):
     """The rule's clauses over the cells (label, point, before, after, exact)
     that moved, then the median, mean and worst error over every cell,
@@ -176,7 +212,7 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("new", nargs="?")
-    parser.add_argument("--draws", type=int, default=max(GRIDS * 50, SOLVES, QUERIES),
+    parser.add_argument("--draws", type=int, default=max(GRIDS * 50, SOLVES, QUERIES, NORROS),
                         help="draws per set, from the first (default: all)")
     args = parser.parse_args(argv)
     print(f"oracle rule: {args.parent} -> {args.new or 'working tree'}")
@@ -186,6 +222,7 @@ def main(argv):
         score_betas("grid betas", grid_betas(old, args.draws), grid_betas(new, args.draws))
         score_betas("cold solves", solve_betas(old, args.draws), solve_betas(new, args.draws))
         score_queries(query_values(old, args.draws), query_values(new, args.draws))
+        score_norros(norros_values(old, args.draws), norros_values(new, args.draws))
 
 
 if __name__ == "__main__":

@@ -280,6 +280,18 @@ class TestGenerateAndFit:
         code, out, err = run(capsys, "fit", "--model", "II", "--in", str(data))
         assert (code, out, err) == (2, "", "error: Model II amplitude c exceeds the double range\n")
 
+    @pytest.mark.parametrize("rho", [
+        (1.7e308, -1.7e308, -1.7e308, 1.7e308),
+        (-1.7e308, 1.7e308, 1.7e308, -1.7e308),
+    ])
+    def test_model_i_parameter_overflow_exit_two(self, capsys, tmp_path, rho):
+        # These printed null parameters, rmse and r_squared, with exit 0.
+        data = tmp_path / "swing.csv"
+        rows = [f"1,{b},{r!r},0.7" for b, r in zip((1, 2, 3, 4), rho)]
+        data.write_text("\n".join(["mean,beta,rho,q", *rows]) + "\n")
+        code, out, err = run(capsys, "fit", "--model", "I", "--in", str(data))
+        assert (code, out, err) == (2, "", "error: Model I slope b exceeds the double range\n")
+
     def test_model_i_goodness_at_huge_rho(self, capsys, tmp_path):
         # rmse read inf and r_squared nan here, with exit 0.
         data = tmp_path / "huge.csv"

@@ -139,3 +139,30 @@ def test_extreme_arguments_exit_with_a_documented_code(command):
         if code not in (0, 2, 3, 4) or (code != 0 and not err.getvalue().startswith("error: ")):
             leaks.append((argv, code, err.getvalue()))
     assert leaks == []
+
+
+# fit --in files that the csv module or the UTF-8 codec refuses: (the file's
+# bytes, the message after "error: ").  Each ended in a traceback and exit 1.
+BAD_FILES = {
+    "oversized-field": (b"mean,beta,rho,q\n1,0.5,0.4,0.6\n2," + b"1" * 131073 + b",0.3,0.6\n",
+                        "line 3: field larger than field limit (131072)"),
+    "oversized-quoted-field": (b'mean,beta,rho,q\n1,"' + b"1\n" * 70000 + b'",0.4,0.6\n',
+                               "line 65538: field larger than field limit (131072)"),
+    "latin-1-byte": (b"mean,beta,rho,q\n1,0.5,0.4,0.6\r\n2,0.6,0.3,0.6\r\n3,0.7,0.2,\xff\n",
+                     "line 4: byte 0xff is not UTF-8 (invalid start byte)"),
+    "header-byte": (b"mean,beta,rho,\xe9\n1,0.5,0.4,0.6\n",
+                    "line 1: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    "cr-lines": (b"mean,beta,rho,q\r1,0.5,0.4,0.6\r\x80\r",
+                 "line 3: byte 0x80 is not UTF-8 (invalid start byte)"),
+    "truncated-sequence": (b"mean,beta,rho,q\n1,0.5,0.4,0.6\n\xe2\x82",
+                           "line 3: byte 0xe2 is not UTF-8 (unexpected end of data)"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_FILES)
+def test_unreadable_fit_input_exits_four(tmp_path, capsys, name):
+    data, message = BAD_FILES[name]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    assert main(["fit", "--model", "I", "--in", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")

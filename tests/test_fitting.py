@@ -131,10 +131,10 @@ class TestGenerateCorrespondence:
         # betas, 243 agree to 1 ulp, 269 to 2 and all to 5.
         ulps = []
 
-        def solve_both(q, A, beta0, certify):
-            found = solver._solve(q, A, beta0, certify)
+        def solve_both(q, A, beta0, setup):
+            found = solver._solve(q, A, beta0, setup)
             if math.isnan(found[2]):
-                evaluated = solver._solve(q, A, beta0)[0]
+                evaluated = solver._solve(q, A, beta0, solver._setup(q))[0]
                 ulps.append(abs(found[0] - evaluated) / math.ulp(evaluated))
             return found
 
@@ -333,6 +333,27 @@ class TestModelI:
         beta = [720.0 + 0.5 * i for i in range(20)]
         rho = [0.2 + 0.3 * math.exp(720.0 - b) for b in beta]
         with pytest.raises(OverflowError, match="slope b exceeds the double range"):
+            fit_model_i(beta, rho)
+
+    @pytest.mark.parametrize("rho", [
+        [1.7e308, -1.7e308, -1.7e308, 1.7e308],
+        [1.7e308, -1.7e308, 1.7e308, -1.7e308],
+        [-1.7e308, 1.7e308, 1.7e308, -1.7e308],
+        [-1.7e308, 1.7e308, -1.7e308, 1.7e308],
+    ])
+    def test_slope_quotient_beyond_the_double_range(self, rho):
+        # rho swinging across the double range at beta 1..4: the slope's
+        # quotient overflowed to inf, and the report read params (-inf, inf)
+        # or (inf, -inf), rmse and r_squared nan, with converged True.
+        with pytest.raises(OverflowError, match="^Model I slope b exceeds the double range$"):
+            fit_model_i([1.0, 2.0, 3.0, 4.0], rho)
+
+    def test_intercept_beyond_the_double_range(self):
+        # A slope of 8.5e307 on regressors near 1.9: the line's value at
+        # exp(-beta) = 0 lies past -1.8e308, and a read -inf with b finite.
+        beta = [-math.log(1.9), -math.log(1.89), -math.log(1.88)]
+        rho = [-0.5e308 + 8.5e305, -0.5e308, -0.5e308 - 8.5e305]
+        with pytest.raises(OverflowError, match="^Model I intercept a exceeds the double range$"):
             fit_model_i(beta, rho)
 
     def test_singular_data(self):

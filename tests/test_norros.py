@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsqueue.errors import DomainError
+from tsqueue.fitting import _mean_grid
 from tsqueue.norros import (
     hurst_from_q,
     norros_mean,
@@ -86,6 +88,23 @@ class TestNorrosRho:
         mean = 10.0**log10_mean
         ref = oracles.norros_rho(mean, hurst)
         assert abs(norros_rho(mean, hurst) - ref) <= 1e-15 * (1 + abs(math.log(mean))) * ref
+
+    def test_bits_are_those_of_the_reference_loop(self):
+        # The Newton loop reads max(1, |x|) and -|x| as expressions and binds
+        # log1p and b - a once: the same operations on the same operands, so
+        # every rho keeps its bits.  Seeded draws over the whole domain, its
+        # edges (H = 1/2, H -> 1, mean = 1, where x starts at 0), and the
+        # default figure grids' means at H = 1.5 - q.
+        rng = random.Random(35)
+        cases = [(10.0 ** rng.uniform(-300.0, 300.0), rng.uniform(0.5, 1.0)) for _ in range(4000)]
+        cases += [(10.0 ** rng.uniform(-300.0, 300.0), 1.0 - 2.0 ** -rng.uniform(1.0, 53.0))
+                  for _ in range(1000)]
+        cases += [(10.0 ** rng.uniform(-3.0, 3.0), 0.5) for _ in range(500)]
+        cases += [(1.0, hurst) for hurst in H_GRID] + [(5e-324, 0.75), (1.7e308, 0.75)]
+        cases += [(mean, 1.5 - q) for q in (0.6, 0.7, 0.75, 0.8, 0.9, 0.95)
+                  for mean in _mean_grid(0.1, 100.0, 50)]
+        assert [repr(norros_rho(*case)) for case in cases] == [
+            repr(oracles.reference_norros_rho(*case)) for case in cases]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
