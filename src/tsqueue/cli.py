@@ -23,7 +23,6 @@ import math
 import sys
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
 
 from .distribution import (
     QueueModel,
@@ -58,15 +57,14 @@ EXIT_BAD_INPUT = 4
 CSV_HEADER = list(CorrespondenceRecord._fields)
 
 
-class _Figure(NamedTuple):
+class _Figure(Record):
     """One figure: its default q-list, its columns (a ``{}`` column stands
-    for one column per threshold), and its row for one correspondence
-    record, from that record, the q's fits and the thresholds."""
+    for one column per threshold), its row for one correspondence record,
+    from that record, the q's fits and the thresholds, and whether the row
+    needs Model I and II fits of the q's records."""
 
-    q_list: tuple
-    columns: tuple
-    row: Callable
-    fitted: bool = False  # the row needs Model I and II fits of the q's records
+    __slots__ = _fields = ("q_list", "columns", "row", "fitted")
+    _defaults = (False,)
 
 
 _FIGURES = {
@@ -108,15 +106,7 @@ class _Record(Record):
     views of ``fields`` where the command shows more than those fields."""
 
     __slots__ = _fields = ("fields", "json", "table")
-
-    def __init__(self, fields: dict, json: Optional[dict] = None,
-                 table: Optional[list] = None):
-        _set_fields(self, fields)
-        _set_json(self, json)
-        _set_table(self, table)
-
-
-_set_fields, _set_json, _set_table = (slot.__set__ for slot in _Record._slots.values())
+    _defaults = (None, None)
 
 
 def _render(output, fmt) -> str:
@@ -192,7 +182,10 @@ def _correspondence_columns(text):
         else:
             if all(all(map(math.isfinite, column)) for column in columns):
                 return columns
-    for lineno, row in enumerate(body, start=2):  # raises at the first bad line
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    lineno = 2  # the line the next row starts on: a quoted field may hold newlines
+    for row in reader:  # raises at the first bad line
         if len(row) != width:
             raise InputFormatError(f"line {lineno}: expected {width} fields, got {len(row)}")
         for field in row:
@@ -202,6 +195,7 @@ def _correspondence_columns(text):
                 raise InputFormatError(f"line {lineno}: invalid number {field!r}") from None
             if not math.isfinite(value):
                 raise InputFormatError(f"line {lineno}: non-finite value {field!r}")
+        lineno = reader.line_num + 1
 
 
 def _read_text(path):

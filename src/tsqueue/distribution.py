@@ -27,7 +27,6 @@ just returned reads the solver's last pass.
 
 import math
 import operator
-from typing import NamedTuple, Optional
 
 from .errors import DomainError, MomentDoesNotExist
 from .record import Record
@@ -102,10 +101,11 @@ _set_q, _set_beta, _set_s, _set_c, _set_norm = (
 _get_norm = QueueModel._slots["_norm"].__get__
 
 
-class TailAsymptote(NamedTuple):
-    coefficient: float
-    exponent: float
-    value: float
+class TailAsymptote(Record):
+    """The tail's power law C x**(-exponent) and its value at x: an immutable
+    record."""
+
+    __slots__ = _fields = ("coefficient", "exponent", "value")
 
 
 class QosReport(Record):
@@ -114,21 +114,6 @@ class QosReport(Record):
 
     __slots__ = _fields = ("mean", "variance", "utilization", "p0", "tail_exponent",
                            "tail_coefficient", "tail_samples")
-
-    def __init__(self, mean: float, variance: Optional[float], utilization: float,
-                 p0: float, tail_exponent: float, tail_coefficient: float,
-                 tail_samples: tuple):
-        _set_mean(self, mean)
-        _set_variance(self, variance)
-        _set_utilization(self, utilization)
-        _set_p0(self, p0)
-        _set_tail_exponent(self, tail_exponent)
-        _set_tail_coefficient(self, tail_coefficient)
-        _set_tail_samples(self, tail_samples)
-
-
-(_set_mean, _set_variance, _set_utilization, _set_p0, _set_tail_exponent,
- _set_tail_coefficient, _set_tail_samples) = (slot.__set__ for slot in QosReport._slots.values())
 
 
 def _zeta_shift(q, beta):

@@ -53,16 +53,6 @@ class CorrespondenceRecord(Record):
 
     __slots__ = _fields = ("mean", "beta", "rho", "q")
 
-    def __init__(self, mean: float, beta: float, rho: float, q: float):
-        _set_mean(self, mean)
-        _set_beta(self, beta)
-        _set_rho(self, rho)
-        _set_q(self, q)
-
-
-_set_mean, _set_beta, _set_rho, _set_q = (
-    slot.__set__ for slot in CorrespondenceRecord._slots.values())
-
 
 class FitReport(Record):
     """Fitted model ("I" or "II"), parameters in natural form, and goodness
@@ -70,19 +60,6 @@ class FitReport(Record):
 
     __slots__ = _fields = ("model_kind", "params", "rmse", "r_squared", "iterations",
                            "converged")
-
-    def __init__(self, model_kind: str, params: tuple, rmse: float, r_squared: float,
-                 iterations: int, converged: bool):
-        _set_model_kind(self, model_kind)
-        _set_params(self, params)
-        _set_rmse(self, rmse)
-        _set_r_squared(self, r_squared)
-        _set_iterations(self, iterations)
-        _set_converged(self, converged)
-
-
-_set_model_kind, _set_params, _set_rmse, _set_r_squared, _set_iterations, _set_converged = (
-    slot.__set__ for slot in FitReport._slots.values())
 
 
 def generate_correspondence(q, mean_min=0.1, mean_max=100.0, points=50):
@@ -200,26 +177,32 @@ def _columns(beta, rho, min_points):
     return beta, rho
 
 
-def _line(x, y):
+def _line(x, y, names=("intercept", "slope")):
     """Least-squares ``(intercept, slope)`` of ``y`` on ``x``, or None when
-    ``x`` is constant.
+    ``x`` is constant; an OverflowError names (from ``names``) the first of
+    slope and intercept that is no double.
 
-    x is scaled by a power of two into max|x| in [0.5, 1), and the slope
-    back, so that the spread of x cannot underflow; a power of two commutes
-    with every rounding here, so where it did not underflow the line is
-    bit for bit the unscaled one."""
+    x and y are each scaled by a power of two into max|v| in [0.5, 1), and
+    the line back, so that the spread of x cannot underflow and no sum over
+    y can overflow; a power of two commutes with every rounding here, so
+    where nothing under- or overflowed the line is bit for bit the unscaled
+    one."""
     lo, hi = min(x), max(x)
     if lo == hi:
         return None
     e = math.frexp(max(-lo, hi))[1]
     if e:
         x = [math.ldexp(v, -e) for v in x]
+    f = math.frexp(max(map(abs, y)))[1]
+    if f:
+        y = [math.ldexp(v, -f) for v in y]
     n = len(x)
     x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
     dx = [v - x_mean for v in x]
     dy = [v - y_mean for v in y]
     slope = math.fsum(map(operator.mul, dx, dy)) / math.fsum(map(operator.mul, dx, dx))
-    return y_mean - slope * x_mean, math.ldexp(slope, -e)
+    b = _scaled_back(names[1], slope, f - e)
+    return _scaled_back(names[0], y_mean - slope * x_mean, f), b
 
 
 def _goodness(rho, ss_res):
@@ -254,23 +237,10 @@ def fit_model_i(beta, rho) -> FitReport:
     ``beta`` and ``rho``."""
     beta, rho = _columns(beta, rho, min_points=3)
     regressor = [_model_i_regressor(b) for b in beta]
-    try:
-        line = _line(regressor, rho)
-    except OverflowError:  # the slope, scaled back from subnormal regressors
-        raise OverflowError("Model I slope b exceeds the double range") from None
+    line = _line(regressor, rho, ("Model I intercept a", "Model I slope b"))
     if line is None:
         raise SingularFit("all regressor values exp(-beta) are identical")
     a, b = line
-    # The slope's quotient, or the intercept's product with it, can leave the
-    # double range where rho spans most of it.
-    for name, value in (("slope b", b), ("intercept a", a)):
-        if not math.isfinite(value):
-            raise OverflowError(f"Model I {name} exceeds the double range")
-    # The slope's quotient, or the intercept's product with it, can leave the
-    # double range where rho spans most of it.
-    for name, value in (("slope b", b), ("intercept a", a)):
-        if not math.isfinite(value):
-            raise OverflowError(f"Model I {name} exceeds the double range")
     residuals = [r - (a + b * x) for r, x in zip(rho, regressor)]
     # rho and the residuals scaled by a power of two, as Model II fits rho, and
     # rmse back: a power of two commutes with every rounding in _goodness, so
@@ -489,7 +459,8 @@ def fit_model_ii(beta, rho) -> FitReport:
     )
     rmse, r_squared = _goodness(scaled, sse)
     rmse = math.ldexp(rmse, e)
-    params = (_scaled_back("c", c, e), eta, _scaled_back("d", d, e), mu)
+    params = (_scaled_back("Model II amplitude c", c, e), eta,
+              _scaled_back("Model II amplitude d", d, e), mu)
     report = FitReport("II", params, rmse, r_squared, iterations, converged)
     if not converged:
         raise NoConvergence(
@@ -498,12 +469,12 @@ def fit_model_ii(beta, rho) -> FitReport:
     return report
 
 
-def _scaled_back(name, amplitude, e):
-    """A Model II amplitude times 2**e, or an OverflowError that names it."""
+def _scaled_back(name, value, e):
+    """``value`` times 2**e, or an OverflowError that names it."""
     try:
-        return math.ldexp(amplitude, e)
+        return math.ldexp(value, e)
     except OverflowError:
-        raise OverflowError(f"Model II amplitude {name} exceeds the double range") from None
+        raise OverflowError(f"{name} exceeds the double range") from None
 
 
 def evaluate_fit(report: FitReport, beta: float) -> float:

@@ -3,12 +3,14 @@
 A record is a plain object with ``__slots__`` and no ``__dict__``.  Once a
 record class is built, no attribute name reaches its slots: each field
 reads through a property with no setter, and any other slot is reachable
-only through the descriptors in the class's ``_slots``, with which its
-module's ``__init__`` sets the values.  So assigning or deleting any name
-on a record raises AttributeError.  A record is not a tuple: it does not
-unpack, index or equal one.  Building the types this way, instead of with
-``dataclasses``, keeps ``inspect``, ``ast``, ``dis`` and ``tokenize`` out
-of the CLI's start-up.
+only through the descriptors in the class's ``_slots``.  ``Record`` writes
+each subclass's constructor from its fields, and a class that must check or
+derive its values (``QueueModel``) writes its own ``__init__`` with those
+descriptors.  So assigning or deleting any name on a record raises
+AttributeError.  A record is not a tuple: it does not unpack, index or
+equal one.  Building the types this way, instead of with ``dataclasses``,
+keeps ``inspect``, ``ast``, ``dis`` and ``tokenize`` out of the CLI's
+start-up.
 """
 
 from operator import attrgetter
@@ -18,7 +20,10 @@ class Record:
     """Base of a value record whose fields are ``_fields``, in order.
 
     A subclass lists its fields and then any private slots in
-    ``__slots__``.  ``repr``, ``==``, ``hash`` and pickling read the
+    ``__slots__``.  Unless it writes its own ``__init__``, a subclass that
+    names its ``_fields`` gets a constructor that takes each field, by
+    position or by keyword, in field order; ``_defaults`` gives the values
+    of the last fields.  ``repr``, ``==``, ``hash`` and pickling read the
     compared fields, ``_compared`` (two or more; all fields unless the
     subclass names fewer): the repr is ``Name(field=value, ...)`` over
     them, two records are equal when they are of one class and those
@@ -43,6 +48,8 @@ class Record:
         cls._compared = getattr(cls, "_compared", cls._fields)
         cls._key = attrgetter(*cls._compared)
         cls.__match_args__ = cls._compared
+        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
+            cls.__init__ = _constructor(cls)
 
     def __repr__(self):
         values = ", ".join(f"{name}={value!r}"
@@ -63,3 +70,19 @@ class Record:
     def _asdict(self):
         """The fields by name, in field order."""
         return {name: getattr(self, name) for name in self._fields}
+
+
+def _constructor(cls):
+    """``cls.__init__``: one slot-setter call per field, in field order.
+
+    Written as source and compiled, as ``collections.namedtuple`` writes its
+    ``__new__``, so that a field passes by keyword and a call costs what a
+    hand-written one does."""
+    namespace = {f"_set_{name}": cls._slots[name].__set__ for name in cls._fields}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in cls._fields)
+    exec(f"def __init__(self, {', '.join(cls._fields)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = cls.__dict__.get("_defaults")
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init

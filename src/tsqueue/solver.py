@@ -67,7 +67,6 @@ read from the same pass.
 import math
 import operator
 import sys
-from typing import Optional
 
 from .distribution import QueueModel, _validate_q, _zeta_shift
 from .errors import DomainError, NoConvergence
@@ -87,16 +86,6 @@ class SolverResult(Record):
     bisection step replaced the solver's own step: an immutable record."""
 
     __slots__ = _fields = ("beta", "iterations", "residual", "fallback_used")
-
-    def __init__(self, beta: float, iterations: int, residual: float, fallback_used: bool):
-        _set_beta(self, beta)
-        _set_iterations(self, iterations)
-        _set_residual(self, residual)
-        _set_fallback_used(self, fallback_used)
-
-
-_set_beta, _set_iterations, _set_residual, _set_fallback_used = (
-    slot.__set__ for slot in SolverResult._slots.values())
 
 
 def _validate_positive(name, value):
@@ -155,7 +144,7 @@ def newton_step(q: float, beta: float, A: float) -> float:
     return model.beta * (1.0 - model.q) * (e1 - r * (1.0 + e0)) / denominator
 
 
-def solve_beta(q: float, A: float, *, beta0: Optional[float] = None, tol: float = _TOL,
+def solve_beta(q: float, A: float, *, beta0: float | None = None, tol: float = _TOL,
                max_iter: int = _MAX_ITER) -> SolverResult:
     """Find beta with |mean(q, beta) - A| <= tol * A.
 

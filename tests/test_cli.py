@@ -317,6 +317,8 @@ class TestGenerateAndFit:
          "line 4: expected 4 fields, got 3"),
         ("mean,beta,rho,q\n1,0.5,0.4,0.6\n2,0.6,0.3,0.6\n3,0.7,0.2,bad\n",
          "line 4: invalid number 'bad'"),
+        # A quoted field of line 2 runs on to line 3, so the bad row starts on line 4.
+        ('mean,beta,rho,q\n1,"0.5\n",0.4,0.6\n2,x,0.3,0.6\n', "line 4: invalid number 'x'"),
     ])
     def test_malformed_file_exit_four(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -580,11 +582,11 @@ print(json.dumps(loaded))
 
 class TestStartupImports:
     # The record types are plain classes, so importing the CLI loads neither
-    # dataclasses nor the inspect module it imports.  -S keeps out what the
-    # interpreter's site imports before tsqueue.
+    # dataclasses nor the inspect module it imports, and no module imports
+    # typing.  -S keeps out what the interpreter's site imports before tsqueue.
     def test_cli_import_loads_no_dataclasses(self):
         probe = ("import sys, tsqueue.cli; "
-                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+                 "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
         result = run_python("-S", "-c", probe)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"

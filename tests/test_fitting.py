@@ -348,6 +348,13 @@ class TestModelI:
         with pytest.raises(OverflowError, match="^Model I slope b exceeds the double range$"):
             fit_model_i([1.0, 2.0, 3.0, 4.0], rho)
 
+    def test_rho_whose_sum_overflows(self):
+        # fsum(rho) overflowed, and the fit was refused as a slope "b" beyond
+        # the double range; the exact fit is a = 1.7e308, b = 0.
+        a, b = fit_model_i([1.0, 2.0, 3.0], [1.7e308] * 3).params
+        assert abs(a - 1.7e308) <= 1e-15 * 1.7e308
+        assert abs(b) <= 1e-15 * abs(a)
+
     def test_intercept_beyond_the_double_range(self):
         # A slope of 8.5e307 on regressors near 1.9: the line's value at
         # exp(-beta) = 0 lies past -1.8e308, and a read -inf with b finite.

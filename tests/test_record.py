@@ -1,15 +1,17 @@
-"""Value semantics of the six record types: repr, equality, hash, field
+"""Value semantics of the seven record types: repr, equality, hash, field
 order, construction, immutability, pickling and copying.  The expected
-reprs and field orders are those the types had as frozen dataclasses."""
+reprs and field orders are those the types had as frozen dataclasses, or
+for TailAsymptote as a NamedTuple."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
 
 from tsqueue import distribution
-from tsqueue.cli import _Record
-from tsqueue.distribution import QosReport, QueueModel
+from tsqueue.cli import _Figure, _Record
+from tsqueue.distribution import QosReport, QueueModel, TailAsymptote
 from tsqueue.fitting import CorrespondenceRecord, FitReport
 from tsqueue.solver import SolverResult
 
@@ -27,6 +29,11 @@ CASES = {
         "tail_coefficient=0.25, tail_samples=((0, 0.5), (10, 0.01)))",
         ("mean", "variance", "utilization", "p0", "tail_exponent", "tail_coefficient",
          "tail_samples"),
+    ),
+    "TailAsymptote": (
+        TailAsymptote, (0.25, 3.0, 0.0025), None,
+        "TailAsymptote(coefficient=0.25, exponent=3.0, value=0.0025)",
+        ("coefficient", "exponent", "value"),
     ),
     "SolverResult": (
         SolverResult, (0.5, 3, 2.5e-16, False), None,
@@ -149,6 +156,18 @@ def test_record_defaults():
     record = _Record({"a": 1})
     assert (record.fields, record.json, record.table) == ({"a": 1}, None, None)
     assert repr(record) == "_Record(fields={'a': 1}, json=None, table=None)"
+
+
+@pytest.mark.parametrize("cls", [case[0] for case in CASES.values() if case[0] is not QueueModel]
+                         + [_Figure])
+def test_generated_constructor_signature(cls):
+    defaults = cls.__dict__.get("_defaults", ())
+    parameters = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in parameters] == list(cls._fields)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
+    required = len(cls._fields) - len(defaults)
+    assert all(p.default is p.empty for p in parameters[:required])
+    assert tuple(p.default for p in parameters[required:]) == defaults
 
 
 def test_queue_model_log_norm_is_cached_and_not_compared(monkeypatch):
